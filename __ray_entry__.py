@@ -144,7 +144,7 @@ def _rollup_bucketed(sf_dir: str):
 
     ds = rollup_tiers_bucketed(
         _fixture(sf_dir), fill=FillConfig(strategy=None), tiers=("1m",),
-        check_tokens=False, n_buckets=32,
+        check_tokens=False,
     )
 
     def project(batch):

@@ -350,7 +350,7 @@ def run_bench() -> dict:
             topk_buckets,
         )
 
-        # production path: the explicit storage exchange (measured 2-5x
+        # production path: the explicit hash exchange (measured 2-5x
         # faster than the sort shuffle at sf0.1; the sort path stays
         # covered by the flagship's *_sortshuffle row)
         rolling_aggregates(fixture, window=60, shuffle="bucketed").count()
@@ -380,7 +380,7 @@ def run_bench() -> dict:
     def stream_profiles():
         # fifth-session family: two-stage chunked inter-arrival profile
         # over events + flags->islands anomaly intervals over the fixture
-        # (production storage exchange)
+        # (production hash exchange)
         from datafiller_ray.pipelines.events import interarrival_stats
         from datafiller_ray.pipelines.window import anomaly_intervals
 

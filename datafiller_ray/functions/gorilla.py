@@ -69,6 +69,15 @@ class BitReader:
         self.pos = end
         return (chunk >> shift) & ((1 << bits) - 1)
 
+    def check_consumed(self) -> None:
+        """Reads past the payload end return zero bits; a decoder calls
+        this once at the end to reject a truncated payload."""
+        if self.pos > len(self.data) * 8:
+            raise EngineValueError(
+                f"truncated Gorilla payload: decoding needs {self.pos} bits, "
+                f"payload holds {len(self.data) * 8}"
+            )
+
 
 def encode_timestamps(ts: np.ndarray) -> bytes:
     """Delta-of-delta encode an int64 array."""
@@ -111,10 +120,9 @@ def decode_timestamps(blob: bytes) -> np.ndarray:
         return u - (1 << 64) if u >= (1 << 63) else u
 
     out[0] = s64(r.read(64))
-    if n == 1:
-        return out
-    delta = s64(r.read(64))
-    out[1] = out[0] + delta
+    if n > 1:
+        delta = s64(r.read(64))
+        out[1] = out[0] + delta
     for i in range(2, n):
         if r.read(1) == 0:
             dod = 0
@@ -128,6 +136,7 @@ def decode_timestamps(blob: bytes) -> np.ndarray:
             dod = s64(r.read(64))
         delta += dod
         out[i] = out[i - 1] + delta
+    r.check_consumed()
     return out
 
 
@@ -186,6 +195,7 @@ def decode_floats(blob: bytes) -> np.ndarray:
         x = r.read(sig) << (64 - lead - sig)
         prev ^= x
         out[i] = prev
+    r.check_consumed()
     return out.view(np.float64)
 
 

@@ -4,21 +4,30 @@ Physical plan (SURVEY.md §3.4):
 
     read_parquet (columns pruned to the 4 contract columns)
       -> map_batches(validate + bucketize + per-batch partial agg)   [stateless tasks, Arrow zero-copy]
-      -> groupby("source")                                            [THE shuffle — partial rows only]
-      -> map_groups(combine -> cascade 1m/1h/1d -> densify -> gap-fill [-> Gorilla])
+      -> exchange on skey                                             [THE shuffle — partial rows only]
+      -> per-skey group fn (combine -> cascade 1m/1h/1d -> densify -> gap-fill [-> Gorilla])
       -> Dataset of tier rows (or blob rows) -> write_parquet
 
 The heavy token payload never crosses the shuffle: the partial-agg stage
 reduces each input block to one row per (source, minute) before the exchange.
 All per-group work is vectorized NumPy on series that are tiny relative to
 the input (one row per source-minute).
+
+Two exchanges implement the shuffle: Ray Data's sort-based
+``groupby("skey").map_groups`` (:func:`rollup_tiers`) and the engine's
+in-memory hash exchange through the object store,
+:func:`bucketed_map_groups` (:func:`rollup_tiers_bucketed`, the production
+path). The hash exchange sizes its partition count from the cluster's CPUs
+and the partial bytes, streams each reduce task's output in blocks of about
+one target block, and writes nothing to disk.
 """
 
 from __future__ import annotations
 
-import os
+import logging
 from typing import TYPE_CHECKING
 
+import ray
 import ray.data
 
 from datafiller_ray.config import FillConfig, RetentionConfig
@@ -29,6 +38,8 @@ if TYPE_CHECKING:
     from ray.data import Dataset
 
 INPUT_COLUMNS = ["doc_id", "tokens", "n_tok", "source"]
+
+_log = logging.getLogger(__name__)
 
 
 def read_input(
@@ -222,112 +233,142 @@ def rollup_tiers_bucketed(
     retention: RetentionConfig | None = None,
     check_tokens: bool = True,
     emit: str = "rows",
-    n_buckets: int = 128,
-    n_subbuckets: int = 16,
-    scratch_dir: str | None = None,
+    n_buckets: int | None = None,
 ) -> "Dataset":
     """Explicit hash-partitioned variant of :func:`rollup_tiers` — the
-    production path for large runs.
+    production path.
 
     Ray Data's sort-based groupby executes its map/reduce suboperators with
     poor parallelism on this workload (measured: 25M partial rows spend
-    ~20s near-serial in Sort at 32 CPUs). This variant shuffles explicitly
-    through storage instead: partial rows are written once, hive-partitioned
-    by ``bucket = hash(source) % n_buckets`` (a streaming, fully parallel
-    hash exchange), then one task per bucket reads its partition and runs
-    the per-source fill — 2.8x faster at 32 CPUs and the same layout the
-    resumable checkpoint runner commits. Output rows match
+    ~20s near-serial in Sort at 32 CPUs). This variant moves the partial
+    rows through :func:`bucketed_map_groups`, a hash exchange in Ray's
+    object store: each partial block is split by ``skey % n``, then one
+    task per partition runs the per-source fill. Output rows match
     :func:`rollup_tiers` exactly (pinned by tests).
 
-    On a multi-node cluster the scratch directory must be shared storage
-    (object store / DFS); ``n_buckets`` is the shuffle fan-in and the unit
-    of retry/resume.
+    ``n_buckets`` is the partition count; ``None`` derives it from the
+    cluster's CPUs and the partial bytes (see :func:`bucketed_map_groups`).
+    Nothing is written to disk, so no shared storage is needed.
     """
     cfg = fill if fill is not None else FillConfig()
     partials = partial_aggregates(input_path, check_tokens=check_tokens)
     fn = make_fill_group_fn(cfg, tiers=tiers, retention=retention, emit=emit)
-    return bucketed_map_groups(
-        partials,
-        fn,
-        n_buckets=n_buckets,
-        n_subbuckets=n_subbuckets,
-        scratch_dir=scratch_dir,
-    )
+    return bucketed_map_groups(partials, fn, n_buckets=n_buckets)
+
+
+@ray.remote
+def _split_by_skey(t, n: int):
+    """Exchange map side: one partial block -> ``n`` Arrow pieces by
+    ``skey % n``, plus the per-piece row counts as the last return."""
+    import numpy as np
+
+    part = (np.asarray(t["skey"]).view(np.uint64) % np.uint64(n)).astype(np.int64)
+    counts = np.bincount(part, minlength=n)
+    t = t.take(np.argsort(part, kind="stable"))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return (*(t.slice(offsets[i], counts[i]) for i in range(n)), counts)
+
+
+@ray.remote(num_returns="streaming")
+def _reduce_partition(fn, block_bytes, *pieces):
+    """Exchange reduce side: concatenate one partition's pieces, sort by
+    ``skey``, apply ``fn`` to each ``skey`` slice and yield the output as
+    Arrow blocks of about ``block_bytes`` each (one block when it is None)."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+    from ray.data.block import BlockAccessor
+
+    t = pa.concat_tables(pieces).sort_by("skey")
+    del pieces  # the sort copied them; unpin the object-store pieces
+    skeys = np.asarray(t["skey"])
+    bounds = np.flatnonzero(np.diff(skeys)) + 1
+    starts = np.concatenate([[0], bounds])
+    ends = np.concatenate([bounds, [skeys.size]])
+    out, held = [], 0
+    for s, e in zip(starts, ends):
+        out.append(fn(t.slice(s, e - s).to_pandas()))
+        held += int(out[-1].memory_usage(index=False).sum())
+        if block_bytes is not None and held >= block_bytes:
+            yield BlockAccessor.for_block(pd.concat(out, ignore_index=True)).to_arrow()
+            out, held = [], 0
+    if out:
+        yield BlockAccessor.for_block(pd.concat(out, ignore_index=True)).to_arrow()
 
 
 def bucketed_map_groups(
     partials: "Dataset",
     fn,
     *,
-    n_buckets: int = 128,
-    n_subbuckets: int = 16,
-    scratch_dir: str | None = None,
+    n_buckets: int | None = None,
 ) -> "Dataset":
     """The engine's explicit hash-partitioned exchange, generalized: apply
     a per-skey-group pandas fn (the same signature as
-    ``groupby("skey").map_groups``) through a storage shuffle instead of
-    Ray Data's sort-based one. Any pipeline built on the (skey, source,
-    bucket_ts, ...) partial-row contract — tier fill, sliding windows,
-    profiles, smoothing — reuses this one partitioning key and layout.
+    ``groupby("skey").map_groups``) through an in-memory hash exchange
+    instead of Ray Data's sort-based one. Any pipeline built on the (skey,
+    source, bucket_ts, ...) partial-row contract — tier fill, sliding
+    windows, profiles, smoothing — reuses this one partitioning key.
 
-    On a multi-node cluster the scratch directory must be shared storage
-    (object store / DFS); ``n_buckets`` is the shuffle fan-in and the unit
-    of retry/resume.
+    The partial blocks are produced first and their bytes summed. One task
+    per block splits it by ``skey % n`` into ``n`` object-store pieces; one
+    task per non-empty partition concatenates its pieces, sorts by ``skey``,
+    calls ``fn`` on each ``skey`` slice and yields the output as blocks of
+    about ``DataContext.target_max_block_size``. The reduce outputs stay in
+    the object store. Nothing is written to disk, so multi-node clusters
+    need no shared storage.
+
+    ``n_buckets=None`` derives ``n = max(4 * cluster CPUs,
+    ceil(partial_bytes / DataContext.target_max_block_size))``. The 4x-CPU
+    term is :func:`coalesce_partials`' rule, which leaves the reduce wave
+    room to level skewed partitions; it also cuts peak memory (measured on
+    a 4-core VM, 3M rows / 2048 sources: -15% at 4 CPUs and -19% at 1 CPU
+    against n = CPUs, for ~5% more wall at 4 CPUs; n=128 cost +50%). The
+    bytes term bounds a reduce task's input to about one target block of
+    partial rows on average, and the streamed output bounds what a task
+    holds of the (larger, densified) fn output to about one more block plus
+    one group's output. A partition
+    holding a hot key can be larger; a single series beyond worker memory
+    is the salted path's job (choose_fill_path / rollup_tiers_auto). The
+    plan is logged once per exchange on this module's logger.
+
+    The exchange runs when this function is called, not lazily.
     """
-    import glob
-    import shutil
-    import tempfile
+    import math
 
     import numpy as np
-    import pandas as pd
-    import pyarrow as pa
 
-    scratch = scratch_dir or tempfile.mkdtemp(prefix="datafiller_ray_shuffle_")
-    partials_dir = os.path.join(scratch, "partials")
-    shutil.rmtree(partials_dir, ignore_errors=True)
+    from datafiller_ray.config import EngineValueError
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        skey = np.asarray(t["skey"]).view(np.uint64)
-        bucket = (skey % np.uint64(n_buckets)).astype(np.int64)
-        sub = ((skey // np.uint64(n_buckets)) % np.uint64(n_subbuckets)).astype(
-            np.int64
-        )
-        t = t.append_column("bucket", pa.array(bucket, pa.int64()))
-        return t.append_column("sub", pa.array(sub, pa.int64()))
-
-    partials.map_batches(add_bucket, batch_format="pyarrow").write_parquet(
-        partials_dir, partition_cols=["bucket", "sub"]
-    )
-
-    dirs = sorted(glob.glob(os.path.join(partials_dir, "bucket=*")))
-
-    def process_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pds
-
-        out = []
-        for d in batch["item"]:
-            # stream the bucket sub-partition by sub-partition: only ONE
-            # sub (1/n_subbuckets of the bucket, columnar Arrow) is resident
-            # at a time, and only ONE source's rows are in pandas at a time.
-            # Peak task memory is (#sources / (n_buckets*n_subbuckets)) x
-            # retention minutes of partial rows — one source's span for
-            # typical layouts; a single mega-series beyond worker memory is
-            # the salted path's job (choose_fill_path / rollup_tiers_auto).
-            for sd in sorted(glob.glob(os.path.join(d, "sub=*"))):
-                t = pds.dataset(sd).to_table()
-                t = t.take(pc.sort_indices(t, sort_keys=[("skey", "ascending")]))
-                skeys = np.asarray(t["skey"])
-                bounds = np.flatnonzero(np.diff(skeys)) + 1
-                starts = np.concatenate([[0], bounds])
-                ends = np.concatenate([bounds, [skeys.size]])
-                for s, e in zip(starts, ends):
-                    out.append(fn(t.slice(s, e - s).to_pandas()))
-        return pd.concat(out, ignore_index=True)
-
-    return ray.data.from_items(dirs).map_batches(
-        process_bucket, batch_size=1, batch_format="pandas"
-    )
+    if n_buckets is not None and n_buckets < 1:
+        raise EngineValueError(f"n_buckets must be >= 1, got {n_buckets}")
+    blocks, partial_bytes = [], 0
+    for bundle in partials.iter_internal_ref_bundles():
+        blocks.extend(ref for ref, meta in bundle.blocks if meta.num_rows != 0)
+        partial_bytes += bundle.size_bytes()
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    target = ray.data.DataContext.get_current().target_max_block_size
+    n = n_buckets
+    if n is None:
+        n = max(4 * cpus, math.ceil(partial_bytes / target) if target else 1)
+    plan = {
+        "partial_bytes": partial_bytes,
+        "blocks": len(blocks),
+        "cpus": cpus,
+        "n": n,
+        "derived": n_buckets is None,
+    }
+    _log.info("bucketed exchange plan: %s", plan, extra={"plan": plan})
+    split = _split_by_skey.options(num_returns=n + 1)
+    pieces = [split.remote(b, n) for b in blocks]
+    counts = sum(ray.get([p[-1] for p in pieces]), np.zeros(n, np.int64))
+    fn_ref = ray.put(fn)
+    outputs = [
+        _reduce_partition.remote(fn_ref, target, *(p[i] for p in pieces))
+        for i in np.flatnonzero(counts)
+    ]
+    # collecting the streamed refs waits for the reduce tasks, as
+    # from_arrow_refs' metadata fetch would; no output block is fetched
+    return ray.data.from_arrow_refs([ref for gen in outputs for ref in gen])
 
 
 def _distinct_salt_presence(partials, salt_span: int, margin: int) -> set:

@@ -176,9 +176,13 @@ def _run_per_source(
 ):
     """Dispatch a per-source frame fn through either exchange: Ray Data's
     sort-based groupby (``shuffle="sort"``, fine up to ~10M partial rows)
-    or the engine's explicit hash-partitioned storage exchange
-    (``shuffle="bucketed"``, the production path — same layout/key as the
-    flagship rollup, see rollup.bucketed_map_groups)."""
+    or the engine's in-memory hash exchange through Ray's object store
+    (``shuffle="bucketed"``, the production path — same key as the flagship
+    rollup, see rollup.bucketed_map_groups). The hash exchange derives its
+    partition count from the cluster's CPUs and the partial bytes, so a
+    reduce task reads about one target block on average, and it streams
+    its output in blocks of that size; it writes nothing to disk and needs
+    no shared storage."""
     from datafiller_ray.config import EngineValueError
     from datafiller_ray.pipelines.rollup import (
         bucketed_map_groups,

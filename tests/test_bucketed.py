@@ -1,5 +1,10 @@
 """Bucketed (explicit hash-shuffle) path must equal the pure-Ray-Data path."""
 
+import glob
+import logging
+import os
+import tempfile
+
 import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
@@ -22,34 +27,115 @@ def _norm(df: pd.DataFrame) -> pd.DataFrame:
     return df[cols].sort_values(["tier", "source", "bucket_ts"]).reset_index(drop=True)
 
 
+_CFGS = {
+    "linear": FillConfig(strategy="linear", max_gap=8),
+    "model": FillConfig(strategy="model", fallback="simple"),
+    "none": FillConfig(strategy=None),
+}
+
+
+# n_buckets=None (derived from CPUs and bytes) keeps the bare config id; 64
+# partitions exceed the fixture's 9 sources, so some partitions are empty
 @pytest.mark.parametrize(
-    "cfg",
-    [
-        FillConfig(strategy="linear", max_gap=8),
-        FillConfig(strategy="model", fallback="simple"),
-        FillConfig(strategy=None),
-    ],
-    ids=["linear", "model", "none"],
+    "cfg_name,n_buckets",
+    [(c, n) for n in (None, 1, 3, 64) for c in _CFGS],
+    ids=[c if n is None else f"{c}-n{n}" for n in (None, 1, 3, 64) for c in _CFGS],
 )
-def test_bucketed_equals_plain(ray_session, small_input, tmp_path, cfg):
+def test_bucketed_equals_plain(ray_session, small_input, cfg_name, n_buckets):
+    cfg = _CFGS[cfg_name]
     a = _norm(rollup_tiers(small_input, fill=cfg, check_tokens=False).to_pandas())
     b = _norm(
         rollup_tiers_bucketed(
             small_input,
             fill=cfg,
             check_tokens=False,
-            n_buckets=7,
-            scratch_dir=str(tmp_path / "scratch"),
+            n_buckets=n_buckets,
         ).to_pandas()
     )
     pd.testing.assert_frame_equal(a, b)
+
+
+def test_bucketed_empty_input(ray_session, tmp_path):
+    path = str(tmp_path / "empty.parquet")
+    pq.write_table(generate_input_table(5000, 9, seed=11).slice(0, 0), path)
+    cfg = FillConfig(strategy="linear", max_gap=8)
+    assert rollup_tiers(path, fill=cfg, check_tokens=False).count() == 0
+    for n in (None, 1, 3):
+        ds = rollup_tiers_bucketed(path, fill=cfg, check_tokens=False, n_buckets=n)
+        assert ds.count() == 0
+        assert len(ds.to_pandas()) == 0
+
+
+@pytest.mark.parametrize("n_buckets", [0, -1])
+def test_bucketed_rejects_bad_n_buckets(ray_session, small_input, n_buckets):
+    from datafiller_ray.config import EngineValueError
+
+    with pytest.raises(EngineValueError, match="n_buckets"):
+        rollup_tiers_bucketed(small_input, check_tokens=False, n_buckets=n_buckets)
+
+
+def test_bucketed_logs_exchange_plan(ray_session, small_input, caplog):
+    import ray
+
+    cfg = FillConfig(strategy="linear", max_gap=8)
+    with caplog.at_level(logging.INFO, logger="datafiller_ray.pipelines.rollup"):
+        rollup_tiers_bucketed(small_input, fill=cfg, check_tokens=False)
+        rollup_tiers_bucketed(small_input, fill=cfg, check_tokens=False, n_buckets=3)
+    plans = [r.plan for r in caplog.records if hasattr(r, "plan")]
+    assert len(plans) == 2
+    derived, explicit = plans
+    # the fixture's partials are far below one target block, so the derived
+    # partition count is 4x the session's CPU count (conftest: num_cpus=4)
+    assert ray.cluster_resources()["CPU"] == 4
+    assert derived["derived"] and derived["cpus"] == 4 and derived["n"] == 16
+    assert 0 < derived["partial_bytes"] < 1 << 20
+    assert derived["blocks"] >= 1
+    assert not explicit["derived"] and explicit["n"] == 3
+
+
+def test_bucketed_streams_output_in_target_blocks(ray_session, small_input, caplog):
+    import math
+
+    from ray.data import DataContext
+
+    cfg = FillConfig(strategy="linear", max_gap=8)
+    a = _norm(rollup_tiers(small_input, fill=cfg, check_tokens=False).to_pandas())
+    ctx = DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = 8 * 1024
+    try:
+        # one reduce task streams its densified output in ~8 KiB blocks
+        one = rollup_tiers_bucketed(small_input, fill=cfg, check_tokens=False, n_buckets=1)
+        assert one.num_blocks() > 1
+        pd.testing.assert_frame_equal(a, _norm(one.to_pandas()))
+        # partials above 16 target blocks lift the derived n past 4x CPUs
+        with caplog.at_level(logging.INFO, logger="datafiller_ray.pipelines.rollup"):
+            rollup_tiers_bucketed(small_input, fill=cfg, check_tokens=False)
+        (plan,) = [r.plan for r in caplog.records if hasattr(r, "plan")]
+    finally:
+        ctx.target_max_block_size = saved
+    assert plan["partial_bytes"] > 16 * 8 * 1024
+    assert plan["n"] == math.ceil(plan["partial_bytes"] / (8 * 1024))
+
+
+def test_bucketed_leaves_no_scratch_dirs(ray_session, small_input):
+    from datafiller_ray.pipelines.window import rolling_aggregates
+
+    def shuffle_dirs():
+        return set(glob.glob(os.path.join(tempfile.gettempdir(), "datafiller_ray_shuffle_*")))
+
+    before = shuffle_dirs()
+    cfg = FillConfig(strategy="linear", max_gap=8)
+    assert rollup_tiers_bucketed(small_input, fill=cfg, check_tokens=False).count() > 0
+    assert rolling_aggregates(small_input, window=5, shuffle="bucketed").count() > 0
+    assert shuffle_dirs() - before == set()
 
 
 def test_bucketed_blob_emit(ray_session, small_input, tmp_path):
     cfg = FillConfig(strategy="linear", max_gap=8)
     blobs = rollup_tiers_bucketed(
         small_input, fill=cfg, check_tokens=False, emit="blobs",
-        n_buckets=5, scratch_dir=str(tmp_path / "s2"),
+        n_buckets=5,
     ).to_pandas()
     rows = rollup_tiers(small_input, fill=cfg, check_tokens=False).to_pandas()
     assert len(blobs) == rows.groupby(["source", "tier"]).ngroups

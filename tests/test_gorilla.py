@@ -119,3 +119,29 @@ def test_tier_chunk_roundtrip():
         )
     # compression actually compresses the regular grid timestamps
     assert len(blobs.iloc[0]["ts_blob"]) * 8 / n < 2.0
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [[7], [0, 60], np.arange(0, 60_000, 60), [0, 60, 120, 300, 360, 100_000]],
+    ids=["one", "two", "regular", "irregular"],
+)
+def test_truncated_timestamp_blob_raises(ts):
+    from datafiller_ray.config import EngineValueError
+
+    blob = gorilla.encode_timestamps(np.asarray(ts, dtype=np.int64))
+    with pytest.raises(EngineValueError, match="truncated"):
+        gorilla.decode_timestamps(blob[:-1])
+
+
+@pytest.mark.parametrize(
+    "v",
+    [[3.25], np.full(50, 1.5), [np.nan, 1.0, np.nan, np.inf, -0.0]],
+    ids=["one", "constant", "mixed"],
+)
+def test_truncated_float_blob_raises(v):
+    from datafiller_ray.config import EngineValueError
+
+    blob = gorilla.encode_floats(np.asarray(v, dtype=np.float64))
+    with pytest.raises(EngineValueError, match="truncated"):
+        gorilla.decode_floats(blob[:-1])
