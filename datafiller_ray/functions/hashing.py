@@ -19,7 +19,11 @@ _VOCAB = 50_000  # token ids in [0, 50_000) per FIXTURES.md F1
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer over a uint64 array."""
-    x = x.astype(np.uint64, copy=True)
+    return _splitmix64_inplace(x.astype(np.uint64, copy=True))
+
+
+def _splitmix64_inplace(x: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64` overwriting the uint64 array ``x``."""
     with np.errstate(over="ignore"):
         x += _GOLDEN
         x ^= x >> np.uint64(30)
@@ -79,3 +83,47 @@ def expected_tokens_flat(
         mixed = splitmix64(seed_rep + j)
     values = (mixed % np.uint64(_VOCAB)).astype(np.int32)
     return offsets, values
+
+
+def tokens_match(
+    seeds: np.ndarray,
+    n_tok: np.ndarray,
+    actual: np.ndarray,
+    *,
+    chunk: int = 1 << 16,
+) -> bool:
+    """Whether the flattened token array ``actual`` equals
+    ``expected_tokens_flat(seeds, n_tok)[1]``.
+
+    The expected values are built ``chunk`` tokens at a time (512 KiB of
+    uint64 scratch at the default, so each chunk stays in cache) and each
+    chunk is compared as soon as it is built; the first mismatching chunk
+    ends the check. Token ``k`` of the flat array, in row ``i``, is
+    ``splitmix64(seed_i - offset_i + k) % 50000``, so a chunk needs one
+    ``repeat`` of ``seed_i - offset_i`` over its rows plus an ``arange``.
+    """
+    n_tok = np.asarray(n_tok, dtype=np.int64)
+    offsets = np.zeros(n_tok.size + 1, dtype=np.int64)
+    np.cumsum(n_tok, out=offsets[1:])
+    total = int(offsets[-1])
+    if actual.size != total:
+        return False
+    with np.errstate(over="ignore"):  # seed - offset wraps mod 2**64
+        base = seeds.astype(np.uint64) - offsets[:-1].astype(np.uint64)
+    vocab = np.uint64(_VOCAB)
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        # rows r0 .. r1-1 overlap [lo, hi); r0 is the non-empty row holding lo
+        r0 = int(np.searchsorted(offsets, lo, side="right")) - 1
+        r1 = int(np.searchsorted(offsets, hi, side="left"))
+        counts = np.minimum(offsets[r0 + 1 : r1 + 1], hi) - np.maximum(
+            offsets[r0:r1], lo
+        )
+        x = np.repeat(base[r0:r1], counts)
+        with np.errstate(over="ignore"):
+            x += np.arange(lo, hi, dtype=np.uint64)
+        _splitmix64_inplace(x)
+        x %= vocab
+        if not np.array_equal(x.astype(np.int32), actual[lo:hi]):
+            return False
+    return True

@@ -172,32 +172,6 @@ def filtered_topk(
     )
 
 
-class LshBucketer:
-    """Random-hyperplane sign buckets (the IVF/LSH scale path): vectors that
-    share a bucket are candidate neighbors; query-time scans only matching
-    buckets. Plane matrix built once per actor."""
-
-    def __init__(self, dim: int, n_planes: int = 12, seed: int = 7) -> None:
-        rng = np.random.default_rng(seed)
-        self.planes = rng.standard_normal((dim, n_planes))
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        ids, M = _batch_matrix(batch)
-        signs = (M @ self.planes) > 0
-        bucket = (signs @ (1 << np.arange(signs.shape[1]))).astype(np.int64)
-        return pd.DataFrame({"vec_id": ids, "bucket": bucket})
-
-
-def lsh_buckets(embeddings: "ray.data.Dataset", dim: int, n_planes: int = 12) -> "ray.data.Dataset":
-    return embeddings.map_batches(
-        LshBucketer,
-        fn_constructor_args=(dim, n_planes),
-        batch_format="pandas",
-        batch_size=4096,
-        concurrency=(1, 8),
-    )
-
-
 class LshCandidateTopK:
     """Approximate top-k: per batch, only vectors whose sign-bucket matches
     a query's bucket are scored (candidate pruning — at corpus scale this

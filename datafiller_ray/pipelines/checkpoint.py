@@ -31,9 +31,9 @@ import pyarrow.dataset as pds
 import ray.data
 
 from datafiller_ray.config import FillConfig, RetentionConfig
+from datafiller_ray.pipelines.rollup import partial_aggregates
 from datafiller_ray.state import lineage
 from datafiller_ray.stages.fill import make_fill_group_fn
-from datafiller_ray.stages.validate import make_partial_agg_fn
 
 
 def _cfg_snapshot(cfg: FillConfig) -> dict:
@@ -167,17 +167,8 @@ def run_checkpointed(
     if not done_partials:
         tmp = partials_dir + ".tmp"
         shutil.rmtree(tmp, ignore_errors=True)
-        cols = (
-            ["doc_id", "tokens", "n_tok", "source"]
-            if check_tokens
-            else ["doc_id", "n_tok", "source"]
-        )
-        ds = ray.data.read_parquet(input_path, columns=cols)
-        partials = ds.map_batches(
-            make_partial_agg_fn(check_tokens=check_tokens),
-            batch_format="pyarrow",
-            batch_size=None,
-            zero_copy_batch=True,
+        partials = partial_aggregates(
+            input_path, check_tokens=check_tokens
         ).map_batches(
             _add_bucket(n_buckets, n_subbuckets), batch_format="pyarrow"
         )
@@ -448,11 +439,6 @@ def run_incremental(
     # stage the new partials (the only pass over the new token payload)
     tmp = os.path.join(updates_root, "staging.tmp")
     shutil.rmtree(tmp, ignore_errors=True)
-    cols = (
-        ["doc_id", "tokens", "n_tok", "source"]
-        if check_tokens
-        else ["doc_id", "n_tok", "source"]
-    )
     op_val = 0 if mode == "add" else 1
 
     def add_op(t: pa.Table) -> pa.Table:
@@ -481,14 +467,10 @@ def run_incremental(
 
     staged = []
     if new_input is not None:
-        ds = ray.data.read_parquet(new_input, columns=cols)
         staged.append(
-            ds.map_batches(
-                make_partial_agg_fn(check_tokens=check_tokens),
-                batch_format="pyarrow",
-                batch_size=None,
-                zero_copy_batch=True,
-            ).map_batches(add_op, batch_format="pyarrow")
+            partial_aggregates(new_input, check_tokens=check_tokens).map_batches(
+                add_op, batch_format="pyarrow"
+            )
         )
     if deletes is not None:
         dds = (

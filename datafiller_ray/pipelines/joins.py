@@ -466,90 +466,6 @@ def _left_pad(g, rows, l_names, r_fields, out_schema, key, key_null):
     return pa.table(cols, schema=out_schema)
 
 
-def _make_cross_kernel(
-    *, key, how, l_fields, r_fields, out_schema, max_group_rows, label
-):
-    """Per-group kernel shared by :func:`equi_join` and
-    :func:`salted_equi_join`: emits the left x right cross product with SQL
-    inner/left/full semantics. Null keys follow three-valued logic — a
-    null never matches. Null-keyed rows arrive sentinel-filled with
-    ``_knull=1`` (see :func:`_sentinel_filled_key`) so the sort exchange
-    never compares None; the kernel routes them straight to outer padding
-    (with the key column nulled back) and they never match anything.
-    The join-key output column has SQL ``USING(key)`` semantics (coalesced:
-    present even on right-unmatched full-outer rows)."""
-    empty = _empty_like(out_schema)
-    l_names, r_names = [f.name for f in l_fields], [f.name for f in r_fields]
-    remedy = (
-        "swap the join sides (the LEFT side is salted; a right-heavy hot "
-        "key does not split) or pre-aggregate the right side"
-        if label == "salted_equi_join"
-        else "pre-aggregate one side or use salted_equi_join"
-    )
-
-    def left_only(g: pa.Table, l_rows: np.ndarray, key_null: bool = False) -> pa.Table:
-        return _left_pad(g, l_rows, l_names, r_fields, out_schema, key, key_null)
-
-    def right_only(g: pa.Table, r_rows: np.ndarray, key_null: bool = False) -> pa.Table:
-        idx = pa.array(r_rows, type=pa.int64())
-        cols = {}
-        for f in l_fields:
-            # USING semantics: the key column is the shared union column,
-            # so it carries the right side's value on unmatched-right rows
-            if f.name == key:
-                cols[key] = (
-                    pa.nulls(r_rows.size, type=f.type)
-                    if key_null
-                    else g[key].take(idx)
-                )
-            else:
-                cols[f.name] = pa.nulls(r_rows.size, type=f.type)
-        cols.update(_take_with_validity(g, r_names, r_rows, None))
-        return pa.table(cols, schema=out_schema)
-
-    def per_key(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        side = g["_side"].to_numpy(zero_copy_only=False)
-        knull = g["_knull"].to_numpy(zero_copy_only=False).astype(bool)
-        parts = []
-        if knull.any():
-            null_l = np.flatnonzero((side == 0) & knull)
-            null_r = np.flatnonzero((side == 1) & knull)
-            if how in ("left", "full") and null_l.size:
-                parts.append(left_only(g, null_l, key_null=True))
-            if how == "full" and null_r.size:
-                parts.append(right_only(g, null_r, key_null=True))
-            l_rows = np.flatnonzero((side == 0) & ~knull)
-            r_rows = np.flatnonzero((side == 1) & ~knull)
-        else:
-            l_rows = np.flatnonzero(side == 0)
-            r_rows = np.flatnonzero(side == 1)
-        if l_rows.size == 0:
-            if how == "full" and r_rows.size:
-                parts.append(right_only(g, r_rows))
-        elif r_rows.size == 0:
-            if how != "inner":
-                parts.append(left_only(g, l_rows))
-        else:
-            n_out = l_rows.size * r_rows.size
-            if n_out > max_group_rows:
-                raise EngineValueError(
-                    f"{label} group for {key}={g[key][int(l_rows[0])].as_py()!r} "
-                    f"would emit {n_out} rows (> max_group_rows="
-                    f"{max_group_rows}); {remedy}"
-                )
-            l_idx = np.repeat(l_rows, r_rows.size)
-            r_idx = np.tile(r_rows, l_rows.size)
-            cols = _take_with_validity(g, l_names, l_idx, None)
-            cols.update(_take_with_validity(g, r_names, r_idx, None))
-            parts.append(pa.table(cols, schema=out_schema))
-        if not parts:
-            return empty
-        return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
-
-    return per_key
-
-
 def _key_values_np(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
     """Join-key column as a numpy array suitable for ``pd.factorize``."""
     if pa.types.is_integer(col.type) or pa.types.is_floating(col.type):
@@ -559,6 +475,16 @@ def _key_values_np(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
             else col
         )
     return np.asarray(col.to_pandas(), dtype=object)
+
+
+def _nan_keys(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
+    """Rows whose float join key is NaN. NaN equals nothing, itself
+    included, so such rows never match: kernels route them like null keys
+    (outer-padded, never joined) but keep the NaN in the key column.
+    ``pd.factorize`` codes NaN as -1, which must never reach a count."""
+    if not pa.types.is_floating(col.type):
+        return np.zeros(len(col), dtype=bool)
+    return pc.fill_null(pc.is_nan(col), False).to_numpy(zero_copy_only=False)
 
 
 def _add_join_bucket(key: str, n_buckets: int, *, with_salt: bool = False):
@@ -590,15 +516,20 @@ def _make_bucket_cross_kernel(
     *, key, how, l_fields, r_fields, out_schema, max_group_rows, label,
     salted: bool = False,
 ):
-    """Per-BUCKET sibling of :func:`_make_cross_kernel`: one UDF call
-    handles every join key in its coarse hash bucket, with the cross
-    product expanded VECTORIZED across keys (factorize -> per-key
-    segment counts -> one arange/repeat index build), instead of Ray's
-    per-group dispatch. With star-schema keys the fine groupby costs a
-    kernel invocation per distinct key (~hundreds of thousands for a
-    lineitem x orders join); the bucket kernel collapses that to
-    ``n_buckets`` calls while emitting row-identical output (same per-key
-    ``max_group_rows`` guard, same null-key three-valued logic).
+    """Per-bucket cross kernel shared by :func:`equi_join` and
+    :func:`salted_equi_join`: one UDF call handles every join key in its
+    coarse hash bucket, with the cross product expanded VECTORIZED across
+    keys (factorize -> per-key segment counts -> one arange/repeat index
+    build), instead of Ray's per-group dispatch. With star-schema keys a
+    fine groupby costs a kernel invocation per distinct key (~hundreds of
+    thousands for a lineitem x orders join); the bucket kernel collapses
+    that to ``n_buckets`` calls. SQL inner/left/full semantics, with the
+    per-key ``max_group_rows`` guard. Null keys follow three-valued logic:
+    they arrive sentinel-filled with ``_knull=1`` (see
+    :func:`_sentinel_filled_key`), never match, and go straight to outer
+    padding with the key nulled back. NaN float keys never match either
+    and are padded the same way, keeping their NaN. The key output column
+    has ``USING(key)`` semantics (coalesced on right-only full-outer rows).
     ``salted`` factorizes on the (key, _salt) composite so each salt
     sub-group stays an independent cross-product unit."""
     import pandas as pd
@@ -637,17 +568,18 @@ def _make_bucket_cross_kernel(
         g = g.drop_columns(["_jb"]).combine_chunks()
         side = g["_side"].to_numpy(zero_copy_only=False)
         knull = g["_knull"].to_numpy(zero_copy_only=False).astype(bool)
+        nan = _nan_keys(g[key]) & ~knull
         parts = []
-        if knull.any():
-            null_l = np.flatnonzero((side == 0) & knull)
-            null_r = np.flatnonzero((side == 1) & knull)
+        for unmatched, key_null in ((knull, True), (nan, False)):
+            if not unmatched.any():
+                continue
+            null_l = np.flatnonzero((side == 0) & unmatched)
+            null_r = np.flatnonzero((side == 1) & unmatched)
             if how in ("left", "full") and null_l.size:
-                parts.append(left_only(g, null_l, key_null=True))
+                parts.append(left_only(g, null_l, key_null=key_null))
             if how == "full" and null_r.size:
-                parts.append(right_only(g, null_r, key_null=True))
-            nn = np.flatnonzero(~knull)
-        else:
-            nn = np.arange(g.num_rows, dtype=np.int64)
+                parts.append(right_only(g, null_r, key_null=key_null))
+        nn = np.flatnonzero(~(knull | nan))
         if nn.size:
             kcodes, uniques = pd.factorize(_key_values_np(g[key])[nn])
             if salted:
@@ -738,7 +670,7 @@ def equi_join(
     cross product from one vectorized factorize + index expansion
     (standard SQL inner/left/full-outer semantics, duplicates multiply;
     the key output column follows SQL ``USING(key)`` — coalesced on
-    outer-padded rows; null keys never match).
+    outer-padded rows; null and NaN keys never match).
 
     Partitioning assumption: one key's OUTPUT (|L_k| x |R_k| rows) fits in
     a task. For star-schema keys (orderkey, custkey) groups are tiny; a
@@ -1003,7 +935,7 @@ def semi_join(
 
     Null keys follow SQL three-valued logic: a null never matches, so
     null-key left rows survive only under ``anti`` (right-side null keys
-    are dropped before the exchange).
+    are dropped before the exchange). NaN float keys never match either.
     """
     right_key = right_key or key
     lschema, rschema = _arrow_schema(left), _arrow_schema(right)
@@ -1059,16 +991,18 @@ def semi_join(
         g = g.drop_columns(["_jb"]).combine_chunks()
         side = g["_side"].to_numpy(zero_copy_only=False)
         knull = g["_knull"].to_numpy(zero_copy_only=False).astype(bool)
+        nan = _nan_keys(g[key]) & ~knull
         parts = []
-        if knull.any():  # anti only: null-key left rows always survive
-            null_l = np.flatnonzero((side == 0) & knull)
-            if null_l.size:
-                parts.append(
-                    _left_pad(g, null_l, l_names, [], out_schema, key, True)
-                )
-            nn = np.flatnonzero(~knull)
-        else:
-            nn = np.arange(g.num_rows, dtype=np.int64)
+        if anti:  # null and NaN left keys never match: they pass NOT EXISTS
+            for unmatched, key_null in ((knull, True), (nan, False)):
+                null_l = np.flatnonzero((side == 0) & unmatched)
+                if null_l.size:
+                    parts.append(
+                        _left_pad(
+                            g, null_l, l_names, [], out_schema, key, key_null
+                        )
+                    )
+        nn = np.flatnonzero(~(knull | nan))
         if nn.size:
             codes, _ = pd.factorize(_key_values_np(g[key])[nn])
             nn_side = side[nn]

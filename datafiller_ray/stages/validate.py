@@ -25,9 +25,9 @@ import pyarrow.compute as pc
 
 from datafiller_ray.config import EngineValueError
 from datafiller_ray.functions.hashing import (
-    expected_tokens_flat,
     row_seed,
     string_hash64,
+    tokens_match,
 )
 
 PARTIAL_SCHEMA = pa.schema(
@@ -54,10 +54,13 @@ def extract_epoch_minute(doc_id: pa.ChunkedArray | pa.Array) -> pa.Array:
 
 def validate_tokens(batch: pa.Table) -> None:
     """Per-row invariants: ``n_tok == len(tokens)`` and token content equals
-    the deterministic generator output (BASELINE.json per-row invariant)."""
+    the deterministic generator output (BASELINE.json per-row invariant).
+    The content is compared in cache-sized chunks of the flattened tokens
+    (:func:`~datafiller_ray.functions.hashing.tokens_match`), so no
+    batch-sized expected array is built."""
     n_tok = batch["n_tok"]
     lengths = pc.list_value_length(batch["tokens"])
-    if not pc.all(
+    if n_tok.null_count or not pc.all(
         pc.equal(pc.cast(lengths, pa.int64()), pc.cast(n_tok, pa.int64()))
     ).as_py():
         raise EngineValueError("token-array invariant violated: n_tok != len(tokens)")
@@ -68,9 +71,8 @@ def validate_tokens(batch: pa.Table) -> None:
     source_hash = string_hash64(uniq)[np.asarray(dict_arr.indices)]
     minute = np.asarray(extract_epoch_minute(batch["doc_id"]))
     seeds = row_seed(source_hash, minute)
-    _, expected = expected_tokens_flat(seeds, np.asarray(n_tok))
     actual = np.asarray(pc.list_flatten(batch["tokens"]))
-    if actual.size != expected.size or not np.array_equal(actual, expected):
+    if not tokens_match(seeds, np.asarray(n_tok), actual):
         raise EngineValueError("token-array invariant violated: content mismatch")
 
 

@@ -914,3 +914,81 @@ def test_salted_equi_join_block_layout_invariant(ray_session):
         **kw,
     ).to_pandas()
     pd.testing.assert_frame_equal(_norm(one), _norm(many), check_dtype=False)
+
+
+def _nan_key_sides():
+    """Float keys with real NaNs (not nulls), nulls, and matching keys."""
+    import pyarrow as pa
+
+    nan = float("nan")
+    L = pa.table({
+        "k": pa.array([1.0, nan, 2.0, nan, None, 3.0], from_pandas=False),
+        "lv": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
+    })
+    R = pa.table({
+        "k": pa.array([1.0, nan, 2.0, 2.0, None], from_pandas=False),
+        "rv": pa.array([10, 20, 30, 40, 50], pa.int64()),
+    })
+    return L, R
+
+
+def _key_repr(k):
+    return "null" if k is None else "nan" if np.isnan(k) else k
+
+
+@pytest.mark.parametrize(
+    "how,want",
+    [
+        ("inner", [(1.0, 1, 10), (2.0, 3, 30), (2.0, 3, 40)]),
+        (
+            "left",
+            [(1.0, 1, 10), ("nan", 2, None), (2.0, 3, 30), (2.0, 3, 40),
+             ("nan", 4, None), ("null", 5, None), (3.0, 6, None)],
+        ),
+        (
+            "full",
+            [(1.0, 1, 10), ("nan", 2, None), (2.0, 3, 30), (2.0, 3, 40),
+             ("nan", 4, None), ("null", 5, None), (3.0, 6, None),
+             ("nan", None, 20), ("null", None, 50)],
+        ),
+    ],
+)
+def test_equi_join_nan_keys_never_match(ray_session, how, want):
+    # NaN keys used to reach pd.factorize's -1 code and crash np.bincount;
+    # they now never match, are padded on left/full and keep their NaN
+    from datafiller_ray.pipelines.joins import equi_join
+
+    L, R = _nan_key_sides()
+    got = equi_join(
+        ray.data.from_arrow(L),
+        ray.data.from_arrow(R),
+        key="k",
+        left_payload={"k": "k", "lv": "lv"},
+        right_payload={"rv": "rv"},
+        how=how,
+    ).take_all()
+    rows = [(_key_repr(r["k"]), r["lv"], r["rv"]) for r in got]
+
+    def order(row):
+        return (row[1] is None, row[1] or 0, row[2] or 0)
+
+    assert sorted(rows, key=order) == sorted(want, key=order)
+
+
+@pytest.mark.parametrize("anti", [False, True])
+def test_semi_join_nan_keys_never_match(ray_session, anti):
+    from datafiller_ray.pipelines.joins import semi_join
+
+    L, R = _nan_key_sides()
+    got = semi_join(
+        ray.data.from_arrow(L),
+        ray.data.from_arrow(R),
+        key="k",
+        left_payload={"k": "k", "lv": "lv"},
+        anti=anti,
+    ).take_all()
+    rows = sorted((r["lv"], _key_repr(r["k"])) for r in got)
+    if anti:
+        assert rows == [(2, "nan"), (4, "nan"), (5, "null"), (6, 3.0)]
+    else:
+        assert rows == [(1, 1.0), (3, 2.0)]

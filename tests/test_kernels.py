@@ -316,3 +316,124 @@ def test_bfill_leading_filled_trailing_not():
     mine, _ = gapfill.fill_bfill(y, None)
     np.testing.assert_allclose(mine[:5], [3.0, 3.0, 3.0, 7.0, 7.0])
     assert np.isnan(mine[5])
+
+
+# ---- chunked token-content check (stages/validate.py) ----------------------
+
+
+def _token_case(rng, lengths):
+    from datafiller_ray.functions.hashing import expected_tokens_flat
+
+    n_tok = np.asarray(lengths, dtype=np.int32)
+    seeds = rng.integers(0, 2**64, size=n_tok.size, dtype=np.uint64)
+    return seeds, n_tok, expected_tokens_flat(seeds, n_tok)[1]
+
+
+def test_tokens_match_agrees_with_expected_tokens_flat():
+    from datafiller_ray.functions.hashing import tokens_match
+
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        lengths = rng.integers(0, 40, size=int(rng.integers(0, 30)))
+        lengths[rng.random(lengths.size) < 0.2] = 0  # zero-length rows
+        chunk = int(rng.integers(1, 50))
+        seeds, n_tok, want = _token_case(rng, lengths)
+        assert tokens_match(seeds, n_tok, want, chunk=chunk)
+        if want.size:
+            bad = want.copy()
+            bad[int(rng.integers(0, want.size))] ^= 1
+            assert not tokens_match(seeds, n_tok, bad, chunk=chunk)
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [
+        [0, 0, 0],  # nothing to compare
+        [0, 25, 0, 0, 3, 0],  # zero-length rows around and between rows
+        [100],  # one row spanning several chunks
+        [7, 9, 11, 0, 13],  # chunk boundaries fall inside rows
+    ],
+)
+def test_tokens_match_chunk_layouts(lengths):
+    from datafiller_ray.functions.hashing import tokens_match
+
+    rng = np.random.default_rng(sum(lengths))
+    seeds, n_tok, want = _token_case(rng, lengths)
+    chunk = 8
+    assert tokens_match(seeds, n_tok, want, chunk=chunk)
+    # a flipped token at the first and at the last position of each chunk
+    for lo in range(0, want.size, chunk):
+        for pos in (lo, min(lo + chunk, want.size) - 1):
+            bad = want.copy()
+            bad[pos] += 1
+            assert not tokens_match(seeds, n_tok, bad, chunk=chunk), pos
+    # a total-length mismatch
+    assert not tokens_match(seeds, n_tok, np.append(want, 0), chunk=chunk)
+    if want.size:
+        assert not tokens_match(seeds, n_tok, want[:-1], chunk=chunk)
+
+
+def _token_batch(lengths):
+    import pyarrow as pa
+
+    from datafiller_ray.functions.hashing import (
+        expected_tokens_flat,
+        row_seed,
+        string_hash64,
+    )
+
+    n = len(lengths)
+    source = np.array([f"s{i % 3}" for i in range(n)])
+    minute = 28_000_000 + np.arange(n, dtype=np.int64)
+    n_tok = np.asarray(lengths, dtype=np.int32)
+    offsets, values = expected_tokens_flat(
+        row_seed(string_hash64(source), minute), n_tok
+    )
+    return pa.table(
+        {
+            "doc_id": [f"{s}:{m:010d}" for s, m in zip(source, minute)],
+            "tokens": pa.ListArray.from_arrays(
+                pa.array(offsets, pa.int32()), pa.array(values, pa.int32())
+            ),
+            "n_tok": pa.array(n_tok, pa.int32()),
+            "source": source,
+        }
+    )
+
+
+@pytest.mark.parametrize("flip", ["first", "chunk_last", "chunk_next", "last"])
+def test_validate_tokens_raises_on_flip_at_chunk_edges(flip):
+    import pyarrow as pa
+
+    from datafiller_ray.config import EngineValueError
+    from datafiller_ray.stages.validate import validate_tokens
+
+    chunk = 1 << 16  # tokens_match's default chunk
+    # 0-length rows, and rows that straddle the first chunk boundary
+    t = _token_batch([0, 40_000, 0, 30_000, 5, 70_000, 0])
+    validate_tokens(t)
+    values = t["tokens"].combine_chunks()
+    flat = values.values.to_numpy().copy()
+    pos = {"first": 0, "chunk_last": chunk - 1, "chunk_next": chunk}.get(
+        flip, flat.size - 1
+    )
+    flat[pos] += 1
+    bad = t.set_column(
+        1, "tokens", pa.ListArray.from_arrays(values.offsets, pa.array(flat))
+    )
+    with pytest.raises(EngineValueError, match="content mismatch"):
+        validate_tokens(bad)
+
+
+def test_validate_tokens_raises_on_null_token_row():
+    import pyarrow as pa
+
+    from datafiller_ray.config import EngineValueError
+    from datafiller_ray.stages.validate import validate_tokens
+
+    t = _token_batch([3, 4, 5])
+    tokens = t["tokens"].to_pylist()
+    tokens[1] = None  # its length is null, so only the total can catch it
+    bad = t.set_column(1, "tokens", pa.array(tokens, pa.list_(pa.int32())))
+    with pytest.raises(EngineValueError, match="content mismatch"):
+        validate_tokens(bad)
