@@ -7,10 +7,17 @@ Two phases, each manifest-committed (state/lineage.py):
    column, written once as Parquet partitioned by bucket. If the job dies
    later, this pass is never repeated.
 2. **buckets** — per bucket b: read only ``bucket=b`` partial rows (cheap,
-   column-pruned), run the per-source fill + tier cascade, write tier rows to
-   a temp dir, audit (row count + order-independent checksum), atomically
-   rename to ``tiers/bucket=b``, append the lineage record. A resumed run
-   skips every bucket already in the manifest.
+   column-pruned), run the columnar fill kernel (``stages/fill.py``
+   ``fill_tiers``: tier cascade, densify, gap fill) once per
+   sub-partition over all of its sources, write tier rows to a temp dir, one
+   Arrow table per tier, audit (row count + order-independent checksum),
+   atomically rename to ``tiers/bucket=b``, append the lineage record. A
+   resumed run skips every bucket already in the manifest.
+
+Incremental updates (:func:`run_incremental`) and update-log compaction
+(:func:`compact_updates`) share one Arrow fold of base + update partials
+(:func:`_fold_partial_inputs`); a refresh runs the same kernel once over a
+bucket's recomputed sources.
 
 Bucket granularity is the checkpoint unit: B ~ cluster nodes keeps re-done
 work on failure to ~1/B of the finalize phase. Source-hash bucketing also
@@ -25,7 +32,9 @@ import os
 import shutil
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pds
 
 import ray.data
@@ -33,7 +42,13 @@ import ray.data
 from datafiller_ray.config import FillConfig, RetentionConfig
 from datafiller_ray.pipelines.rollup import partial_aggregates
 from datafiller_ray.state import lineage
-from datafiller_ray.stages.fill import make_fill_group_fn
+from datafiller_ray.stages.fill import (
+    fill_tiers,
+    reduce_segments,
+    segment_starts,
+    sorted_codes,
+)
+from datafiller_ray.stages.validate import PARTIAL_SCHEMA
 
 
 def _cfg_snapshot(cfg: FillConfig) -> dict:
@@ -59,81 +74,107 @@ def _add_bucket(n_buckets: int, n_subbuckets: int = 1):
     return fn
 
 
-def _blob_payload_hashes(rows) -> np.ndarray:
+def _blob_payload_hashes(rows: pa.Table) -> pa.Array:
     """Per-chunk 64-bit blake2b digest of the blob columns, each framed by
     its 8-byte length so a corruption that shifts bytes across the boundary
     of adjacent columns (b'AB'+b'C' vs b'A'+b'BC') changes the digest."""
     import hashlib
 
-    blob_cols = [c for c in rows.columns if c.endswith("_blob")]
+    columns = [rows[c].to_pylist() for c in rows.column_names if c.endswith("_blob")]
     digests = np.fromiter(
         (
             int.from_bytes(
                 hashlib.blake2b(
                     b"".join(
                         len(payload).to_bytes(8, "little") + payload
-                        for c in blob_cols
-                        for payload in (bytes(row[c]),)
+                        for payload in map(bytes, payloads)
                     ),
                     digest_size=8,
                 ).digest(),
                 "little",
             )
-            for _, row in rows.iterrows()
+            for payloads in zip(*columns)
         ),
         dtype=np.uint64,
-        count=len(rows),
+        count=rows.num_rows,
     )
-    return digests.view(np.int64)
+    return pa.array(digests.view(np.int64), pa.int64())
 
 
-def _publish_rows(tier_rows, tmp_dir: str, emit: str, keep_rows=None, part: int = 0):
+#: pandas schema metadata per metadata-free Arrow schema
+_PANDAS_METADATA: dict = {}
+
+
+def _pandas_metadata(rows: pa.Table) -> dict:
+    """The schema metadata ``pa.Table.from_pandas`` gives ``rows`` as a
+    frame, so Arrow-built files carry the same pandas metadata as the
+    pandas-built ones always did. It depends on the column types only, so
+    it is derived from the first row and cached per schema."""
+    schema = rows.schema.remove_metadata()
+    if schema not in _PANDAS_METADATA:
+        _PANDAS_METADATA[schema] = pa.Table.from_pandas(
+            rows.slice(0, 1).to_pandas(), preserve_index=False
+        ).schema.metadata
+    return _PANDAS_METADATA[schema]
+
+
+def _publish_rows(
+    tier_rows: pa.Table, tmp_dir: str, emit: str, keep_rows=None, part: int = 0
+):
     """Write a bucket's output rows (tier rows, or Gorilla blob rows when
-    emit="blobs") under tmp_dir partitioned by tier; returns (written rows,
-    checksum). Blob checksums cover the chunk identity columns plus a
-    per-chunk digest of the payload bytes; row checksums cover the value
-    columns.
+    emit="blobs") under tmp_dir partitioned by tier, one Arrow table per
+    tier; returns (written row count, checksum). Blob checksums cover the
+    chunk identity columns plus a per-chunk digest of the payload bytes;
+    row checksums cover the value columns.
 
-    ``keep_rows`` carries ALREADY-PUBLISHED rows (blob rows keep their
-    payload bytes and hashes) to splice in unchanged — the incremental
-    path's untouched sources, which are never recomputed or recompressed."""
-    import pandas as pd
-    import pyarrow as pa
+    ``keep_rows`` (an Arrow table read from the published bucket, with its
+    ``tier`` column) carries ALREADY-PUBLISHED rows (blob rows keep their
+    payload bytes and hashes) to splice in unchanged, ahead of the new rows
+    of their tier — the incremental path's untouched sources, which are
+    never recomputed or recompressed."""
     import pyarrow.parquet as pq
 
+    out_rows = tier_rows
+    checksum_cols = ("source", "bucket_ts", "count", "sum")
     if emit == "blobs":
         from datafiller_ray.stages.compress import encode_tier_chunks
 
-        out_rows = encode_tier_chunks(tier_rows)
-        # checksum must cover the payload bytes, not just chunk identity,
-        # so value-level divergence in a resumed blob bucket is caught the
-        # way the rows sink catches it
-        out_rows = out_rows.assign(payload_hash=_blob_payload_hashes(out_rows))
+        blobs = encode_tier_chunks(tier_rows.to_pandas())
+        out_rows = None
+        if len(blobs):
+            out_rows = pa.Table.from_pandas(blobs, preserve_index=False)
+            # checksum must cover the payload bytes, not just chunk identity,
+            # so value-level divergence in a resumed blob bucket is caught
+            # the way the rows sink catches it
+            out_rows = out_rows.append_column(
+                "payload_hash", _blob_payload_hashes(out_rows)
+            )
         checksum_cols = ("source", "start_ts", "end_ts", "n_points", "payload_hash")
-    else:
-        out_rows = tier_rows
-        checksum_cols = ("source", "bucket_ts", "count", "sum")
-    if keep_rows is not None and len(keep_rows):
-        if emit == "blobs" and "payload_hash" not in keep_rows.columns:
+    if keep_rows is not None and keep_rows.num_rows:
+        if emit == "blobs" and "payload_hash" not in keep_rows.column_names:
             # blob buckets published before payload hashing existed splice
             # cleanly: the digest is a pure function of the payload bytes
-            keep_rows = keep_rows.assign(
-                payload_hash=_blob_payload_hashes(keep_rows)
+            keep_rows = keep_rows.append_column(
+                "payload_hash", _blob_payload_hashes(keep_rows)
             )
-        out_rows = pd.concat(
-            [keep_rows[out_rows.columns], out_rows], ignore_index=True
+        out_rows = keep_rows if out_rows is None else pa.concat_tables(
+            [keep_rows.select(out_rows.column_names), out_rows]
         )
-    for tier, sub in out_rows.groupby("tier", sort=True):
+    if out_rows is None or not out_rows.num_rows:
+        return 0, lineage.rows_checksum({})
+    tier_col = out_rows["tier"]
+    for tier in sorted(pc.unique(tier_col).to_pylist()):
+        sub = out_rows.filter(pc.equal(tier_col, tier)).drop_columns(["tier"])
         tdir = os.path.join(tmp_dir, f"tier={tier}")
         os.makedirs(tdir, exist_ok=True)
         pq.write_table(
-            pa.Table.from_pandas(sub.drop(columns=["tier"]), preserve_index=False),
+            sub.replace_schema_metadata(_pandas_metadata(sub)),
             os.path.join(tdir, f"part-{part}.parquet"),
         )
     checksum = lineage.rows_checksum(
         {c: out_rows[c].to_numpy() for c in checksum_cols}
     )
-    return out_rows, checksum
+    return out_rows.num_rows, checksum
 
 
 def run_checkpointed(
@@ -209,7 +250,6 @@ def run_checkpointed(
         )
 
     done_buckets = lineage.completed(out_dir, "bucket")
-    fill_fn = make_fill_group_fn(cfg, tiers=tiers, retention=retention)
     todo = [b for b in range(n_buckets) if b not in done_buckets]
     skipped["buckets"] = sorted(b for b in range(n_buckets) if b in done_buckets)
     if fail_after_buckets is not None:
@@ -219,14 +259,13 @@ def run_checkpointed(
         deferred = []
 
     def finalize_bucket(batch: "pd.DataFrame") -> "pd.DataFrame":
-        """One task per bucket: read its partials, fill, write-audit-publish.
+        """One task per bucket: per sub-partition, read its partials, run
+        the fill kernel once over all of them, write-audit-publish.
 
         The atomic rename IS the bucket's commit from the task's point of
         view; the driver appends the lineage record afterwards. A bucket
         renamed but not yet recorded is simply redone on resume —
         idempotent, since the rename replaces the directory wholesale."""
-        import pandas as pd
-
         import time
 
         rows = []
@@ -260,11 +299,11 @@ def run_checkpointed(
             total_rows = 0
             sub_checksums = []
             for si, sd in enumerate(sub_dirs):
-                df = pds.dataset(sd).to_table().to_pandas()
-                parts = [fill_fn(sub) for _, sub in df.groupby("skey", sort=True)]
-                tier_rows = pd.concat(parts, ignore_index=True)
-                out_rows, cs = _publish_rows(tier_rows, tmp, emit, part=si)
-                total_rows += len(out_rows)
+                tier_rows = fill_tiers(
+                    pds.dataset(sd).to_table(use_threads=False), cfg, tiers, retention
+                )
+                n_rows, cs = _publish_rows(tier_rows, tmp, emit, part=si)
+                total_rows += n_rows
                 sub_checksums.append(cs)
             checksum = lineage.merge_checksums(sub_checksums)
             shutil.rmtree(out_bucket, ignore_errors=True)
@@ -312,40 +351,43 @@ def run_checkpointed(
     }
 
 
-def _fold_partial_inputs(inputs) -> "pd.DataFrame":
+def _fold_partial_inputs(inputs) -> "tuple[pa.Table, pa.Array]":
     """Load per-bucket partial rows from ``[(dir, seq), ...]`` and apply the
     upsert/tombstone reset: for each (source, minute) key the LATEST op>=1
     row's seq wins — strictly earlier rows (base, prior adds, prior
     replaces) are dropped; tombstone rows carry no data themselves, leaving
     the minute a gap. Shared by the incremental refresh and the update-log
-    compaction so both fold identically."""
-    import pandas as pd
+    compaction so both fold identically; Arrow in, Arrow out.
 
-    tables = []
+    Returns the surviving partial rows and the distinct sources of the
+    update rows (``seq >= 1``) — the sources a refresh must recompute."""
+    tables, ops, seqs = [], [], []
     for d, seq in inputs:
-        t = pds.dataset(d).to_table()
-        if "op" not in t.column_names:  # base + pre-upsert updates
-            t = t.append_column(
-                "op", pa.array(np.zeros(t.num_rows, np.int8), pa.int8())
-            )
-        tables.append(
-            t.append_column(
-                "seq", pa.array(np.full(t.num_rows, seq, np.int64), pa.int64())
-            )
+        # callers run one Ray task per bucket, each holding one CPU: Arrow's
+        # scan threads would only contend with the other tasks' for it
+        t = pds.dataset(d).to_table(use_threads=False)
+        if "op" in t.column_names:
+            ops.append(t["op"].to_numpy())
+            t = t.drop_columns(["op"])
+        else:  # base + pre-upsert updates
+            ops.append(np.zeros(t.num_rows, np.int8))
+        seqs.append(np.full(t.num_rows, seq, np.int64))
+        tables.append(t)
+    t = pa.concat_tables(tables)
+    op, seq = np.concatenate(ops), np.concatenate(seqs)
+    touched = pc.unique(t["source"].filter(pa.array(seq >= 1)))
+    if (op != 0).any():
+        code, _ = sorted_codes(t["source"])
+        ts = t["bucket_ts"].to_numpy()
+        order = np.lexsort((ts, code))
+        starts = segment_starts(code[order], ts[order])
+        reset = np.maximum.reduceat(
+            np.where(op[order] >= 1, seq[order], -1), starts
         )
-    df = pa.concat_tables(tables).to_pandas()
-    if (df["op"] != 0).any():
-        resets = (
-            df.loc[df["op"] >= 1]
-            .groupby(["source", "bucket_ts"], sort=False)["seq"]
-            .max()
-            .rename("_reset_seq")
-            .reset_index()
-        )
-        df = df.merge(resets, on=["source", "bucket_ts"], how="left")
-        keep = df["_reset_seq"].isna() | (df["seq"] >= df["_reset_seq"])
-        df = df.loc[keep & (df["op"] != 2)].drop(columns=["_reset_seq"])
-    return df.drop(columns=["op", "seq"])
+        reset_of = np.empty(t.num_rows, np.int64)
+        reset_of[order] = np.repeat(reset, np.diff(np.append(starts, t.num_rows)))
+        t = t.filter(pa.array((seq >= reset_of) & (op != 2)))
+    return t, touched
 
 
 def _resolve_partials(out_dir: str, records) -> "tuple[str, set]":
@@ -398,12 +440,15 @@ def run_incremental(
     recompute results are bit-identical to the pre-upsert engine.
 
     Incremental cost is O(new data) for the heavy pass plus O(touched
-    buckets) for finalize — untouched buckets are never read.
+    buckets) for finalize — untouched buckets are never read. Within a
+    touched bucket, one task folds the partials in Arrow, runs the fill
+    kernel once over the recomputed sources and reads the published rows
+    only to splice untouched sources (not at all when every source is
+    touched). Each ``bucket-update`` record's ``extra`` carries
+    ``sources_recomputed``, ``sources_spliced`` and ``rows_in`` (partial
+    rows fed to the kernel).
     """
     import glob
-
-    import pandas as pd
-    import pyarrow.compute as pc
 
     from datafiller_ray.functions.hashing import string_hash64
     from datafiller_ray.stages.validate import extract_epoch_minute
@@ -571,9 +616,11 @@ def run_incremental(
         {os.path.basename(p) for p in all_update_dirs} - set(seq_of)
     ):
         seq_of[uid] = len(seq_of) + 1
-    fill_fn = make_fill_group_fn(cfg, tiers=tiers)
 
     def refresh_bucket(batch: "pd.DataFrame") -> "pd.DataFrame":
+        """One task per touched bucket: fold base + update partials, run the
+        fill kernel once over the touched sources, splice the untouched
+        sources' published rows, write-audit-publish."""
         import time
 
         rows = []
@@ -599,50 +646,46 @@ def run_incremental(
             # makes the result independent of crash history: a bucket left
             # stale by a prior crashed update is re-listed in todo and its
             # sources recomputed from base + all updates here.
-            touched_src: set = set()
-            for u in all_update_dirs:
-                ub = os.path.join(u, f"bucket={b}")
-                if os.path.isdir(ub):
-                    touched_src.update(
-                        pds.dataset(ub).to_table(columns=["source"])["source"]
-                        .to_pylist()
-                    )
-            df = _fold_partial_inputs(inputs)
+            folded, touched_src = _fold_partial_inputs(inputs)
             out_bucket = os.path.join(tiers_dir, f"bucket={b}")
-            keep = None
-            if os.path.isdir(out_bucket):
-                existing = pds.dataset(
-                    out_bucket, partitioning="hive"
-                ).to_table().to_pandas()
-                keep = existing[~existing["source"].isin(touched_src)]
-                if "tier" in keep.columns:
-                    keep = keep.astype({"tier": object})
-                df = df[df["source"].isin(touched_src)]
             # a missing published bucket (crash between the rmtree and the
             # rename below on a previous run) falls back to recomputing
             # every source from base + updates — never a partial publish
-            parts = [fill_fn(sub) for _, sub in df.groupby("skey", sort=True)]
-            if parts:
-                tier_rows = pd.concat(parts, ignore_index=True)
-            elif keep is not None:  # every touched source fully tombstoned
-                tier_rows = keep.iloc[0:0].copy()
-            else:
+            published = os.path.isdir(out_bucket)
+            keep = None
+            if published:
+                is_touched = pc.is_in(folded["source"], value_set=touched_src)
+                if not pc.all(is_touched).as_py():
+                    # every published source has partial rows here (a
+                    # fold drops rows only of touched sources), so the
+                    # published bucket is read only when some are untouched
+                    keep = pds.dataset(out_bucket, partitioning="hive").to_table(
+                        filter=~pc.field("source").isin(touched_src),
+                        use_threads=False,
+                    )
+                    folded = folded.filter(is_touched)
+            elif not folded.num_rows:
                 raise ValueError(
                     f"bucket {b}: no partial rows survive the update and no "
                     "published rows exist to splice — nothing to publish"
                 )
+            tier_rows = fill_tiers(folded, cfg, tiers)
             tmp_b = f"{out_bucket}.tmp-{os.getpid()}"
             shutil.rmtree(tmp_b, ignore_errors=True)
             os.makedirs(tmp_b, exist_ok=True)
-            tier_rows, checksum = _publish_rows(tier_rows, tmp_b, emit, keep_rows=keep)
+            n_rows, checksum = _publish_rows(tier_rows, tmp_b, emit, keep_rows=keep)
             shutil.rmtree(out_bucket, ignore_errors=True)
             os.replace(tmp_b, out_bucket)
             rows.append(
-                (b, len(tier_rows), checksum, out_bucket,
-                 round(time.perf_counter() - t0, 3))
+                (b, n_rows, checksum, out_bucket,
+                 round(time.perf_counter() - t0, 3),
+                 pc.count_distinct(folded["source"]).as_py(),
+                 0 if keep is None else pc.count_distinct(keep["source"]).as_py(),
+                 folded.num_rows)
             )
         return pd.DataFrame(
-            rows, columns=["bucket", "row_count", "checksum", "output", "wall_sec"]
+            rows, columns=["bucket", "row_count", "checksum", "output", "wall_sec",
+                           "sources_recomputed", "sources_spliced", "rows_in"]
         )
 
     refreshed = 0
@@ -665,7 +708,13 @@ def run_incremental(
                         row_count=int(r.row_count),
                         checksum=r.checksum,
                         output_path=r.output,
-                        extra={"update_id": uid, "wall_sec": float(r.wall_sec)},
+                        extra={
+                            "update_id": uid,
+                            "wall_sec": float(r.wall_sec),
+                            "sources_recomputed": int(r.sources_recomputed),
+                            "sources_spliced": int(r.sources_spliced),
+                            "rows_in": int(r.rows_in),
+                        },
                     ),
                 )
             refreshed += 1
@@ -686,8 +735,10 @@ def compact_updates(out_dir: str) -> dict:
     Protocol (manifest = source of truth, crash-safe at every step):
 
     1. fold each bucket's base + committed-update partials with the exact
-       refresh semantics (:func:`_fold_partial_inputs`) and aggregate to
-       one row per (source, minute) — written to ``partials_epoch_N.tmp``;
+       refresh semantics (:func:`_fold_partial_inputs`, in Arrow) and
+       combine to one row per (source, minute) with the fill kernel's
+       segmented reduce, sorted by (source, skey, minute) — written to
+       ``partials_epoch_N.tmp``;
     2. atomic ``os.replace`` to ``partials_epoch_N``;
     3. append a ``partials-compact`` lineage record naming the folded
        update ids (the commit point — a crash before this leaves an
@@ -701,7 +752,6 @@ def compact_updates(out_dir: str) -> dict:
     folded update remains a no-op (its id stays in the manifest)."""
     import glob
 
-    import pandas as pd
     import pyarrow.parquet as pq
 
     records = lineage.read_manifest(out_dir)
@@ -751,34 +801,34 @@ def compact_updates(out_dir: str) -> dict:
                 ]
                 if os.path.isdir(d)
             ]
-            df = _fold_partial_inputs(inputs)
-            agg = (
-                df.groupby(["source", "skey", "bucket_ts"], sort=True, as_index=False)
-                .agg(
-                    count=("count", "sum"),
-                    sum=("sum", "sum"),
-                    min=("min", "min"),
-                    max=("max", "max"),
-                )
+            t, _ = _fold_partial_inputs(inputs)
+            code, uniques = sorted_codes(t["source"])
+            skey, ts = t["skey"].to_numpy(), t["bucket_ts"].to_numpy()
+            order = np.lexsort((ts, skey, code))
+            starts = segment_starts(code[order], skey[order], ts[order])
+            count, sums, mins, maxs = reduce_segments(
+                starts, *(t[c].to_numpy()[order] for c in ("count", "sum", "min", "max"))
             )
-            agg = agg[agg["count"] > 0]
+            kept = count > 0
+            first = order[starts][kept]
+            agg = pa.table(
+                {
+                    "source": pa.array(uniques, pa.string()).take(
+                        pa.array(code[first], pa.int64())
+                    ),
+                    "skey": skey[first],
+                    "bucket_ts": ts[first],
+                    "count": count[kept],
+                    "sum": sums[kept],
+                    "min": mins[kept],
+                    "max": maxs[kept],
+                },
+                schema=PARTIAL_SCHEMA,
+            )
             bdir = os.path.join(tmp_root, f"bucket={b}")
             os.makedirs(bdir, exist_ok=True)
-            table = pa.Table.from_pandas(agg, preserve_index=False).cast(
-                pa.schema(
-                    [
-                        ("source", pa.string()),
-                        ("skey", pa.int64()),
-                        ("bucket_ts", pa.int64()),
-                        ("count", pa.int64()),
-                        ("sum", pa.int64()),
-                        ("min", pa.int64()),
-                        ("max", pa.int64()),
-                    ]
-                )
-            )
-            pq.write_table(table, os.path.join(bdir, "part-0.parquet"))
-            rows.append((b, len(agg)))
+            pq.write_table(agg, os.path.join(bdir, "part-0.parquet"))
+            rows.append((b, agg.num_rows))
         return pd.DataFrame(rows, columns=["bucket", "row_count"])
 
     results = (

@@ -25,14 +25,18 @@ DuckDB ``regexp_extract_all`` oracles agree token-for-token.
 
 from __future__ import annotations
 
+import logging
 import re
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+from ray.exceptions import ObjectStoreFullError, OutOfMemoryError
 
 from datafiller_ray.config import EngineValueError
 from datafiller_ray.functions.hashing import splitmix64
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "stratified_sample",
@@ -3000,6 +3004,12 @@ def _collect_kn_folds(tables):
     return ac1, ana, bnb
 
 
+#: the failures a size-gated broadcast collect recovers from by taking the
+#: co-partition path; any other error (a failing map fn, a bad input) is
+#: a real failure and propagates
+_BROADCAST_OUT_OF_MEMORY = (ObjectStoreFullError, OutOfMemoryError)
+
+
 def _collect_nonsingleton_counts(tables, broadcast_rows):
     """Size-gated broadcast collect of the kind-0 rows with c2 >= 2 from
     :func:`_kn_count_tables` as (sorted keys, counts) numpy arrays, or
@@ -3022,7 +3032,11 @@ def _collect_nonsingleton_counts(tables, broadcast_rows):
         if ns.count() > broadcast_rows:
             return None
         blocks = ray.get(ns.to_arrow_refs())
-    except Exception:
+    except _BROADCAST_OUT_OF_MEMORY as e:
+        _log.warning(
+            "non-singleton count broadcast ran out of memory (%s); "
+            "falling back to the co-partition path", type(e).__name__,
+        )
         return None
     blocks = _arrow_blocks(blocks)
     if not blocks:
@@ -3074,7 +3088,11 @@ def _broadcast_table(c2, broadcast_rows):
         if c2.count() > broadcast_rows:
             return None
         blocks = ray.get(c2.to_arrow_refs())  # zero-copy plasma reads
-    except Exception:
+    except _BROADCAST_OUT_OF_MEMORY as e:
+        _log.warning(
+            "count table broadcast ran out of memory (%s); "
+            "falling back to the co-partition path", type(e).__name__,
+        )
         return None
     blocks = _arrow_blocks(blocks)
     if not blocks:  # zero bigrams

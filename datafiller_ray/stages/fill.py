@@ -1,23 +1,29 @@
-"""Per-source tier cascade + grid densification + gap fill.
+"""Tier cascade + grid densification + gap fill, one columnar kernel.
 
-Runs inside ``ds.groupby("source").map_groups(fn, batch_format="pandas")`` —
-the ONE wide shuffle in the rollup pipeline, and it moves only the partial
-aggregate rows (one per (source, minute, input-block)), never the token
-payload.
+:func:`fill_tiers` takes the partial-aggregate rows of any number of
+sources — one ``skey`` group of the rollup's exchange (``map_groups`` or
+``bucketed_map_groups``), or a whole checkpoint bucket — and, with NumPy
+over the whole frame at once:
 
-Per source the fn:
-
-1. final-combines the partials (count=Σcount, sum=Σsum, min=min, max=max —
-   the exact algebra the reference uses to merge per-block accumulators,
+1. orders the rows by ``skey``, then the source string (so a hash collision
+   stays two series), then ``bucket_ts``;
+2. final-combines the partials per (series, minute) with segmented
+   ``reduceat`` (count=Σcount, sum=Σsum, min=min, max=max — the exact
+   algebra the reference uses to merge per-block accumulators,
    ``multivariate/_numba_utils.py:43-66``);
-2. cascades 1m -> 1h -> 1d from OBSERVED rows only (sum-of-sums /
-   min-of-mins, exact; SURVEY.md §2.9);
-3. densifies each tier to its full regular grid between the source's first
-   and last observed bucket — the engine analogue of ``_regularize_index``
-   (``timeseries/imputer.py:215-223``): missing buckets become null rows to
-   impute;
-4. applies the configured gap-fill kernel to the per-bucket ``sum`` series,
-   then the terminal fallback (``_apply_fallback`` semantics).
+3. cascades 1m -> each coarser tier from OBSERVED rows only (sum-of-sums /
+   min-of-mins, exact; SURVEY.md §2.9), again with segmented ``reduceat``;
+4. densifies every (series, tier) to its regular grid between its first and
+   last observed bucket — the engine analogue of ``_regularize_index``
+   (``timeseries/imputer.py:215-223``) — by offset arithmetic on ONE
+   concatenated grid: missing buckets become null cells to impute;
+5. applies the configured gap-fill kernel to each series' per-bucket
+   ``sum`` slice of that grid, then the terminal fallback
+   (``_apply_fallback`` semantics) — :func:`apply_fill`, one call per
+   (series, tier), so a kernel that reads its whole series (mean, spline,
+   seasonal, model, the fallback's mean) sees only that series;
+6. builds one Arrow table: per series in (skey, source) order, the tiers in
+   their configured order, buckets ascending.
 
 Filled buckets get ``sum/min/max = round(value)`` (the reference rounds
 imputed values for integer columns and casts back,
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from datafiller_ray.config import FillConfig, RetentionConfig, TIER_STEPS
 from datafiller_ray.functions import gapfill
@@ -48,6 +55,13 @@ TIER_COLUMNS = [
     "fill_method",
 ]
 
+#: fill_method labels by method code; one past the last kernel code is the
+#: label of a gap bucket nothing filled
+_METHOD_LABELS = np.array(
+    [gapfill.METHOD_NAMES[c] for c in range(len(gapfill.METHOD_NAMES))] + ["none"],
+    dtype=object,
+)
+_UNFILLED = len(gapfill.METHOD_NAMES)
 
 def _reduce_sorted(
     keys: np.ndarray, count: np.ndarray, s: np.ndarray, mn: np.ndarray, mx: np.ndarray
@@ -55,16 +69,23 @@ def _reduce_sorted(
     """Grouped (sum, sum, min, max) over a SORTED key column via reduceat —
     the same partial-combine algebra as the reference's per-block
     accumulators (multivariate/_numba_utils.py:43-66), in O(n)."""
-    bounds = np.flatnonzero(np.diff(keys)) + 1
-    starts = np.concatenate([[0], bounds])
+    starts = segment_starts(keys)
     return pd.DataFrame(
-        {
-            "bucket_ts": keys[starts],
-            "count": np.add.reduceat(count, starts),
-            "sum": np.add.reduceat(s, starts),
-            "min": np.minimum.reduceat(mn, starts),
-            "max": np.maximum.reduceat(mx, starts),
-        }
+        dict(zip(
+            ("bucket_ts", "count", "sum", "min", "max"),
+            (keys[starts], *reduce_segments(starts, count, s, mn, mx)),
+        ))
+    )
+
+
+def reduce_segments(starts: np.ndarray, count, s, mn, mx) -> tuple:
+    """Segmented (sum, sum, min, max) of partial columns over the runs
+    beginning at ``starts``."""
+    return (
+        np.add.reduceat(count, starts),
+        np.add.reduceat(s, starts),
+        np.minimum.reduceat(mn, starts),
+        np.maximum.reduceat(mx, starts),
     )
 
 
@@ -78,20 +99,6 @@ def combine_partials(g: pd.DataFrame) -> pd.DataFrame:
         g["sum"].to_numpy(np.int64)[order],
         g["min"].to_numpy(np.int64)[order],
         g["max"].to_numpy(np.int64)[order],
-    )
-
-
-def cascade_tier(observed_1m: pd.DataFrame, step: int) -> pd.DataFrame:
-    """Exact combine of 1m observed rows into a coarser tier (input sorted)."""
-    if step == 60:
-        return observed_1m
-    ts = observed_1m["bucket_ts"].to_numpy(np.int64)
-    return _reduce_sorted(
-        ts - ts % step,
-        observed_1m["count"].to_numpy(np.int64),
-        observed_1m["sum"].to_numpy(np.int64),
-        observed_1m["min"].to_numpy(np.int64),
-        observed_1m["max"].to_numpy(np.int64),
     )
 
 
@@ -143,55 +150,157 @@ def apply_fill(
     return out, codes
 
 
-def densify_and_fill(
-    observed: pd.DataFrame, source: str, tier: str, step: int, cfg: FillConfig
-) -> pd.DataFrame:
-    """Densify one tier of one source to its regular grid and gap-fill."""
-    ts = observed["bucket_ts"].to_numpy(np.int64)
-    lo, hi = ts[0], ts[-1]
-    grid = np.arange(lo, hi + step, step, dtype=np.int64)
-    n = grid.size
-    pos = (ts - lo) // step
+def sorted_codes(source) -> tuple[np.ndarray, np.ndarray]:
+    """Factorize a string column (Arrow or pandas) into int64 codes numbered
+    in string order, plus the sorted distinct values (object)."""
+    if isinstance(source, pa.ChunkedArray):
+        # pa.array would convert a ChunkedArray one Python value at a time
+        source = source.combine_chunks()
+    enc = pa.array(source).dictionary_encode()
+    uniques = enc.dictionary.to_numpy(zero_copy_only=False)
+    rank = np.argsort(np.argsort(uniques, kind="stable"))
+    return rank[enc.indices.to_numpy()].astype(np.int64), np.sort(uniques)
 
-    count = np.zeros(n, dtype=np.int64)
-    count[pos] = observed["count"].to_numpy(np.int64)
-    y = np.full(n, np.nan)
-    y[pos] = observed["sum"].to_numpy(np.float64)
-    mn = np.full(n, np.nan)
-    mn[pos] = observed["min"].to_numpy(np.float64)
-    mx = np.full(n, np.nan)
-    mx[pos] = observed["max"].to_numpy(np.float64)
 
-    value, codes = apply_fill(y, grid, cfg)
+def segment_starts(*sorted_keys: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal key tuples in key-sorted arrays."""
+    n = sorted_keys[0].size
+    new = np.zeros(n, dtype=bool)
+    if n:
+        new[0] = True
+        for k in sorted_keys:
+            new[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(new)
+
+
+def _column(partials, name: str) -> np.ndarray:
+    return np.asarray(partials[name], dtype=np.int64)
+
+
+def _tier_steps(tiers) -> dict[str, int]:
+    # tiers may be names from TIER_STEPS or a {name: step_seconds} mapping
+    # (custom steps, e.g. from infer_step)
+    if isinstance(tiers, dict):
+        return dict(tiers)
+    return {t: TIER_STEPS[t] for t in tiers}
+
+
+def fill_tiers(
+    partials: pa.Table | pd.DataFrame,
+    cfg: FillConfig,
+    tiers=("1m", "1h", "1d"),
+    retention: RetentionConfig | None = None,
+) -> pa.Table:
+    """Tier rows (``TIER_COLUMNS``) of every series in ``partials`` — an
+    Arrow table or pandas frame of partial-aggregate rows, any number of
+    sources, in any order. ``tiers`` is a tuple of ``TIER_STEPS`` names or
+    a ``{name: step_seconds}`` mapping; ``retention`` drops each tier's
+    rows outside its bounds after the fill. Unfilled cells are null, as
+    ``pa.Table.from_pandas`` writes NaN; the label columns are taken from
+    their distinct values, never built per row as Python strings."""
+    steps = _tier_steps(tiers)
+    names = list(steps)
+    step_of = np.array([steps[t] for t in names], dtype=np.int64)
+    n_tiers = len(names)
+    code, uniques = sorted_codes(partials["source"])
+    skey = _column(partials, "skey")
+    ts = _column(partials, "bucket_ts")
+
+    # 1. order by (skey, source, bucket_ts); combine partials per minute
+    order = np.lexsort((ts, code, skey))
+    skey, code, ts = skey[order], code[order], ts[order]
+    series_starts = segment_starts(skey, code)
+    starts = segment_starts(skey, code, ts)
+    series = np.zeros(ts.size, dtype=np.int64)
+    series[series_starts[1:]] = 1
+    series = np.cumsum(series)[starts]
+    obs_ts = ts[starts]
+    obs = reduce_segments(
+        starts, *(_column(partials, c)[order] for c in ("count", "sum", "min", "max"))
+    )
+
+    # 2. cascade each tier from the observed 1m rows
+    tier_obs = []
+    for step in step_of:
+        if step == 60:
+            tier_obs.append((series, obs_ts, *obs))
+            continue
+        tts = obs_ts - obs_ts % step
+        st = segment_starts(series, tts)
+        tier_obs.append((series[st], tts[st], *reduce_segments(st, *obs)))
+
+    # 3. grid extent of every (series, tier) segment, laid out series-major
+    n_series = series_starts.size
+    lo = np.zeros((n_series, n_tiers), dtype=np.int64)
+    length = np.zeros((n_series, n_tiers), dtype=np.int64)
+    for t, (sid, tts, *_) in enumerate(tier_obs):
+        first = segment_starts(sid)
+        last = np.append(first[1:], sid.size)[: first.size] - 1
+        lo[:, t] = tts[first]
+        length[:, t] = (tts[last] - tts[first]) // step_of[t] + 1
+    lo, seg_len = lo.ravel(), length.ravel()
+    seg_off = np.cumsum(seg_len) - seg_len
+    total = int(seg_len.sum())
+    seg = np.repeat(np.arange(seg_len.size), seg_len)
+    seg_tier = seg % n_tiers
+    bucket_ts = lo[seg] + (np.arange(total) - seg_off[seg]) * step_of[seg_tier]
+
+    count = np.zeros(total, dtype=np.int64)
+    y = np.full(total, np.nan)
+    mn = np.full(total, np.nan)
+    mx = np.full(total, np.nan)
+    for t, (sid, tts, c, s, lo_v, hi_v) in enumerate(tier_obs):
+        flat = sid * n_tiers + t
+        pos = seg_off[flat] + (tts - lo[flat]) // step_of[t]
+        count[pos] = c
+        y[pos] = s
+        mn[pos] = lo_v
+        mx[pos] = hi_v
+
+    # 4. fill each series slice (a kernel may read its whole series); filled
+    # cells take round(value), unfilled gaps are "none"
+    value = np.empty(total, dtype=np.float64)
+    codes = np.empty(total, dtype=np.int8)
+    bounds = np.append(seg_off, total).tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        value[a:b], codes[a:b] = apply_fill(y[a:b], bucket_ts[a:b], cfg)
     filled = codes != 0
     rounded = np.round(value[filled])
     s = y.copy()
     s[filled] = rounded
     mn[filled] = rounded
     mx[filled] = rounded
+    method = codes.astype(np.int64)
+    method[(count == 0) & ~filled] = _UNFILLED
 
-    lut = np.array(
-        [gapfill.METHOD_NAMES[c] for c in range(len(gapfill.METHOD_NAMES))],
-        dtype=object,
-    )
-    fill_method = lut[codes]
-    gap_unfilled = (count == 0) & ~filled  # unfilled gap buckets
-    fill_method[gap_unfilled] = "none"
+    def labels(values, index) -> pa.Array:
+        return pa.array(values, pa.string()).take(pa.array(index, pa.int64()))
 
-    return pd.DataFrame(
-        {
-            "source": np.full(n, source, dtype=object),
-            "tier": np.full(n, tier, dtype=object),
-            "bucket_ts": grid,
-            "count": count,
-            "sum": s,
-            "min": mn,
-            "max": mx,
-            "value": value,
-            "filled": filled,
-            "fill_method": fill_method,
-        }
-    )
+    def nullable(v: np.ndarray) -> pa.Array:
+        return pa.array(v, from_pandas=True)  # NaN -> null
+
+    out = pa.table({
+        "source": labels(uniques, code[series_starts][seg // n_tiers]),
+        "tier": labels(names, seg_tier),
+        "bucket_ts": bucket_ts,
+        "count": count,
+        "sum": nullable(s),
+        "min": nullable(mn),
+        "max": nullable(mx),
+        "value": nullable(value),
+        "filled": filled,
+        "fill_method": labels(_METHOD_LABELS, method),
+    })
+    if retention is None:
+        return out
+    keep = np.ones(total, dtype=bool)
+    for t, name in enumerate(names):
+        lo_b, hi_b = retention.bounds(name)
+        if lo_b is not None:
+            keep &= (seg_tier != t) | (bucket_ts >= lo_b)
+        if hi_b is not None:
+            keep &= (seg_tier != t) | (bucket_ts < hi_b)
+    return out.filter(keep)
 
 
 def make_fill_group_fn(
@@ -200,41 +309,14 @@ def make_fill_group_fn(
     retention: RetentionConfig | None = None,
     emit: str = "rows",
 ):
-    """Build the map_groups fn. ``emit="rows"`` yields tier rows;
-    ``emit="blobs"`` Gorilla-encodes each (source, tier) chunk in place
-    (same shuffle, different sink shape)."""
-    # tiers may be names from TIER_STEPS or a {name: step_seconds} mapping
-    # (custom steps, e.g. from infer_step)
-    if isinstance(tiers, dict):
-        steps = dict(tiers)
-    else:
-        steps = {t: TIER_STEPS[t] for t in tiers}
-
-    def fill_one_source(g: pd.DataFrame, source: str) -> pd.DataFrame:
-        observed_1m = combine_partials(g)
-        outputs = []
-        for tier, step in steps.items():
-            observed = cascade_tier(observed_1m, step)
-            tier_df = densify_and_fill(observed, source, tier, step, cfg)
-            if retention is not None:
-                lo, hi = retention.bounds(tier)
-                if lo is not None:
-                    tier_df = tier_df[tier_df["bucket_ts"] >= lo]
-                if hi is not None:
-                    tier_df = tier_df[tier_df["bucket_ts"] < hi]
-            outputs.append(tier_df)
-        return pd.concat(outputs, ignore_index=True)
+    """Build the per-``skey``-group fn for ``map_groups`` /
+    ``bucketed_map_groups``: :func:`fill_tiers` on the group, as pandas.
+    ``emit="rows"`` yields tier rows; ``emit="blobs"`` Gorilla-encodes each
+    (source, tier) chunk in place (same shuffle, different sink shape)."""
+    steps = _tier_steps(tiers)
 
     def fill_group(g: pd.DataFrame) -> pd.DataFrame:
-        # groups are keyed by the int64 source hash (skey) for shuffle speed;
-        # sub-group by the string so a hash collision cannot merge sources
-        if g["source"].iloc[0] == g["source"].iloc[-1] and g["source"].nunique() == 1:
-            result = fill_one_source(g, g["source"].iloc[0])
-        else:
-            result = pd.concat(
-                [fill_one_source(sub, src) for src, sub in g.groupby("source", sort=True)],
-                ignore_index=True,
-            )
+        result = fill_tiers(g, cfg, steps, retention).to_pandas()
         if emit == "blobs":
             from datafiller_ray.stages.compress import encode_tier_chunks
 

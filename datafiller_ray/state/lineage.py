@@ -86,10 +86,16 @@ def rows_checksum(columns: dict[str, np.ndarray]) -> str:
                 bits = arr.astype(np.float64).view(np.uint64)
             elif arr.dtype.kind in "iub":
                 bits = arr.astype(np.int64).view(np.uint64)
-            else:  # strings: cheap per-value hash
+            else:  # strings: hash each distinct value once, then take
+                import pandas as pd
+
                 from datafiller_ray.functions.hashing import string_hash64
 
-                bits = string_hash64(np.asarray(arr, dtype="U"))
+                codes, uniques = pd.factorize(arr)
+                bits = string_hash64(np.asarray(uniques, dtype="U"))[codes]
+                na = codes < 0  # None and NaN keep their own str() hashes
+                if na.any():
+                    bits[na] = string_hash64(np.asarray(arr[na], dtype="U"))
             mixed = splitmix64(bits ^ np.uint64(0x9E37_79B9 * (i + 1)))
             row_mix = mixed if row_mix is None else row_mix ^ mixed
         if row_mix is None:

@@ -2245,3 +2245,56 @@ def test_lang_source_contingency_literal(ray_session):
     assert out.loc[("b", "en"), "std_resid"] < 0
     # observed margin conservation
     assert int(out["observed"].sum()) == 12
+
+
+class _OutOfMemoryDataset:
+    """Stands in for a Dataset whose collect exhausts the object store."""
+
+    def map_batches(self, fn, **kw):
+        return self
+
+    def materialize(self):
+        return self
+
+    def count(self):
+        from ray.exceptions import ObjectStoreFullError
+
+        raise ObjectStoreFullError("object store full")
+
+
+def test_broadcast_collects_fall_back_only_when_out_of_memory(caplog):
+    import logging
+
+    from datafiller_ray.pipelines.corpus import (
+        _broadcast_table,
+        _collect_nonsingleton_counts,
+    )
+
+    with caplog.at_level(logging.WARNING, logger="datafiller_ray.pipelines.corpus"):
+        assert _broadcast_table(_OutOfMemoryDataset(), 10) is None
+        assert _collect_nonsingleton_counts(_OutOfMemoryDataset(), 10) is None
+    msgs = [r.getMessage() for r in caplog.records]
+    assert len(msgs) == 2
+    assert all("ObjectStoreFullError" in m and "co-partition" in m for m in msgs)
+
+
+def test_broadcast_collects_surface_a_failing_map_fn(ray_session):
+    """A real failure upstream of the size gate must raise, not silently
+    switch the plan to the co-partition path."""
+    from datafiller_ray.pipelines.corpus import (
+        _broadcast_table,
+        _collect_nonsingleton_counts,
+    )
+
+    def boom(batch):
+        raise RuntimeError("map fn failed on purpose")
+
+    rows = [{"kind": 0, "key": 1, "v1": 2, "v2": 0}]
+    tables = ray.data.from_items(rows).map_batches(boom, batch_format="pyarrow")
+    with pytest.raises(Exception, match="map fn failed on purpose"):
+        _collect_nonsingleton_counts(tables, 10)
+    c2 = ray.data.from_items([{"key": 1, "c2": 2}]).map_batches(
+        boom, batch_format="pyarrow"
+    )
+    with pytest.raises(Exception, match="map fn failed on purpose"):
+        _broadcast_table(c2, 10)
