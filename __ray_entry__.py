@@ -6718,9 +6718,11 @@ def _near_dup_clusters_sql() -> str:
     (node, reachable-ancestor) pair over the symmetrized verified edge set
     (UNION dedup guarantees termination), then cluster_id = min reachable
     node. Component sizes here are verified near-dup blobs, so the closure
-    stays tiny."""
+    stays tiny. ``verified`` is MATERIALIZED: inlined, DuckDB would
+    recompute the Jaccard verify on every step of the recursive walk
+    (sf0.001: 284 s -> 34 s, same rows)."""
     return f"""
-        WITH RECURSIVE verified AS ({_near_dup_jaccard_sql()}),
+        WITH RECURSIVE verified AS MATERIALIZED ({_near_dup_jaccard_sql()}),
         edges AS (
           -- symmetrize inside a derived table: under WITH RECURSIVE a
           -- top-level UNION in ANY cte is parsed as a recursive definition
@@ -9205,7 +9207,8 @@ def oracle_sql() -> dict[str, str]:
         "near_dup_jaccard": _near_dup_jaccard_sql(),
         "near_dup_clusters": _near_dup_clusters_sql(),
         "dedup_near_keep_best": f"""
-            WITH clusters AS (SELECT * FROM ({_near_dup_clusters_sql()})),
+            WITH clusters AS MATERIALIZED (
+              SELECT * FROM ({_near_dup_clusters_sql()})),
             winners AS (
               SELECT doc_id FROM (
                 SELECT c.doc_id,

@@ -16,8 +16,9 @@ Two phases, each manifest-committed (state/lineage.py):
 
 Incremental updates (:func:`run_incremental`) and update-log compaction
 (:func:`compact_updates`) share one Arrow fold of base + update partials
-(:func:`_fold_partial_inputs`); a refresh runs the same kernel once over a
-bucket's recomputed sources.
+(:func:`_fold_partial_inputs`) and one stale-bucket refresh
+(:func:`_refresh_stale_buckets`), which runs the same kernel once over a
+bucket's recomputed sources with the base run's tiers and retention.
 
 Bucket granularity is the checkpoint unit: B ~ cluster nodes keeps re-done
 work on failure to ~1/B of the finalize phase. Source-hash bucketing also
@@ -245,6 +246,9 @@ def run_checkpointed(
                     "fill": _cfg_snapshot(cfg),
                     "tiers": list(tiers),
                     "emit": emit,
+                    "retention": None if retention is None else {
+                        t: list(b) for t, b in retention.windows.items()
+                    },
                 },
             ),
         )
@@ -405,68 +409,13 @@ def _resolve_partials(out_dir: str, records) -> "tuple[str, set]":
     return base, folded
 
 
-def run_incremental(
-    out_dir: str,
-    new_input: "str | None",
-    *,
-    fill: FillConfig | None = None,
-    mode: str = "add",
-    deletes=None,
-) -> dict:
-    """Continuous-aggregate update: fold NEW input into a completed
-    checkpointed output, recomputing only the buckets the new data touches.
-
-    Three update shapes, all manifest-committed and idempotent by the
-    order-independent checksum of the staged rows (a re-submitted identical
-    update is a no-op; a crash between staging and finalize is repaired by
-    re-running — the stage is committed before any tier is touched):
-
-    - ``mode="add"`` (default): append-style ingest. Staged partials are
-      ADDITIVE (count/sum/min/max combine), so recompute order between
-      updates is irrelevant.
-    - ``mode="replace"``: upsert. For every (source, minute) key present in
-      ``new_input``, the staged partials REPLACE all earlier partials for
-      that key (base and prior updates alike). Replace granularity is the
-      partial key — the update input must carry the FULL new content of
-      every minute it touches. Later additive updates still add on top.
-    - ``deletes=<path | Dataset>`` (composable with either mode, or alone
-      with ``new_input=None``): a table with ``doc_id``/``source`` columns
-      whose (source, minute) keys are TOMBSTONED — all earlier partials for
-      those keys are suppressed; the minutes become gaps.
-
-    Replace/tombstone updates are ORDERED by manifest commit sequence (the
-    reset applies to strictly earlier rows); additive updates commute, so
-    existing add-only outputs are unaffected — their update ids and
-    recompute results are bit-identical to the pre-upsert engine.
-
-    Incremental cost is O(new data) for the heavy pass plus O(touched
-    buckets) for finalize — untouched buckets are never read. Within a
-    touched bucket, one task folds the partials in Arrow, runs the fill
-    kernel once over the recomputed sources and reads the published rows
-    only to splice untouched sources (not at all when every source is
-    touched). Each ``bucket-update`` record's ``extra`` carries
-    ``sources_recomputed``, ``sources_spliced`` and ``rows_in`` (partial
-    rows fed to the kernel).
-    """
-    import glob
-
-    from datafiller_ray.functions.hashing import string_hash64
-    from datafiller_ray.stages.validate import extract_epoch_minute
-
-    if mode not in ("add", "replace"):
-        raise ValueError(f"mode must be 'add' or 'replace', got {mode!r}")
-    if new_input is None and deletes is None:
-        raise ValueError("need new_input, deletes, or both")
-
-    records = lineage.read_manifest(out_dir)
+def _base_run(out_dir: str, records, fill: FillConfig | None = None):
+    """The base run's ``partials`` record meta and its fill config; a
+    given ``fill`` must equal the recorded one."""
     base = [r for r in records if r.kind == "partials"]
     if not base:
-        raise ValueError(f"{out_dir} has no completed checkpointed run to update")
+        raise ValueError(f"{out_dir} has no completed checkpointed run")
     meta = base[0].extra
-    n_buckets = int(meta["n_buckets"])
-    check_tokens = bool(meta.get("check_tokens", True))
-    tiers = tuple(meta.get("tiers", ("1m", "1h", "1d")))
-    emit = meta.get("emit", "rows")
     cfg = fill if fill is not None else FillConfig(
         **{**meta.get("fill", {}), "lags": tuple(meta.get("fill", {}).get("lags", (1, 2, 3, -1, -2, -3)))}
     )
@@ -475,104 +424,30 @@ def run_incremental(
             "incremental update must use the fill config of the base run "
             f"({meta.get('fill')})"
         )
+    return meta, cfg
 
+
+def _refresh_stale_buckets(out_dir: str, records, meta: dict, cfg: FillConfig) -> int:
+    """Refresh every bucket that some committed, not yet compacted update
+    touched without a ``bucket-update`` record for it; returns the count.
+
+    One task per bucket folds base + update partials, runs the fill kernel
+    once over the recomputed sources with the base run's tiers and
+    retention, splices the untouched sources' published rows and
+    writes-audits-publishes. Shared by :func:`run_incremental` and
+    :func:`compact_updates`."""
+    import glob
+
+    tiers = tuple(meta.get("tiers", ("1m", "1h", "1d")))
+    emit = meta.get("emit", "rows")
+    windows = meta.get("retention")
+    retention = None if windows is None else RetentionConfig(
+        {t: tuple(b) for t, b in windows.items()}
+    )
     partials_dir, folded_ids = _resolve_partials(out_dir, records)
     updates_root = os.path.join(out_dir, "partials_updates")
     tiers_dir = os.path.join(out_dir, "tiers")
-    os.makedirs(updates_root, exist_ok=True)
 
-    # stage the new partials (the only pass over the new token payload)
-    tmp = os.path.join(updates_root, "staging.tmp")
-    shutil.rmtree(tmp, ignore_errors=True)
-    op_val = 0 if mode == "add" else 1
-
-    def add_op(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "op", pa.array(np.full(t.num_rows, op_val, np.int8), pa.int8())
-        )
-
-    def tombstones(t: pa.Table) -> pa.Table:
-        minute = extract_epoch_minute(t["doc_id"])
-        bucket_ts = pc.multiply(minute, pa.scalar(60, pa.int64()))
-        src = np.asarray(t["source"].to_pandas(), dtype="U")
-        skey = string_hash64(src).view(np.int64)
-        zeros = pa.array(np.zeros(t.num_rows, np.int64), pa.int64())
-        return pa.table(
-            {
-                "source": t["source"],
-                "skey": pa.array(skey, pa.int64()),
-                "bucket_ts": bucket_ts,
-                "count": zeros,
-                "sum": zeros,
-                "min": zeros,
-                "max": zeros,
-                "op": pa.array(np.full(t.num_rows, 2, np.int8), pa.int8()),
-            }
-        )
-
-    staged = []
-    if new_input is not None:
-        staged.append(
-            partial_aggregates(new_input, check_tokens=check_tokens).map_batches(
-                add_op, batch_format="pyarrow"
-            )
-        )
-    if deletes is not None:
-        dds = (
-            deletes
-            if isinstance(deletes, ray.data.Dataset)
-            else ray.data.read_parquet(deletes, columns=["doc_id", "source"])
-        )
-        staged.append(dds.map_batches(tombstones, batch_format="pyarrow"))
-    partials = staged[0] if len(staged) == 1 else staged[0].union(*staged[1:])
-    partials = partials.map_batches(_add_bucket(n_buckets), batch_format="pyarrow")
-    partials.write_parquet(tmp, partition_cols=["bucket"])
-    audit = pds.dataset(tmp, partitioning="hive").to_table(
-        columns=["source", "bucket_ts", "count", "sum", "op"]
-    )
-    if pc.max(audit["op"]).as_py() == 0:
-        # pure-add updates hash exactly as the pre-upsert engine did, so
-        # previously committed update ids stay recognized (idempotency)
-        audit = audit.drop_columns(["op"])
-    update_id = lineage.rows_checksum(
-        {c: audit[c].to_numpy(zero_copy_only=False) for c in audit.column_names}
-    )
-    update_dir = os.path.join(updates_root, update_id)
-    committed_updates = {
-        r.extra.get("update_id") for r in records if r.kind == "update-partials"
-    }
-    if update_id in committed_updates:
-        shutil.rmtree(tmp, ignore_errors=True)
-    else:
-        shutil.rmtree(update_dir, ignore_errors=True)
-        os.replace(tmp, update_dir)
-        lineage.append_record(
-            out_dir,
-            lineage.LineageRecord(
-                kind="update-partials",
-                partition_id=-1,
-                row_count=audit.num_rows,
-                checksum=update_id,
-                output_path=update_dir,
-                input_fragments=[
-                    str(x)
-                    for x in (new_input, deletes)
-                    if x is not None and isinstance(x, str)
-                ],
-                extra={"update_id": update_id, "mode": mode},
-            ),
-        )
-        records = lineage.read_manifest(out_dir)
-
-    touched = sorted(
-        int(os.path.basename(p).split("=", 1)[1])
-        for p in glob.glob(os.path.join(update_dir, "bucket=*"))
-    )
-    done = {
-        r.partition_id
-        for r in records
-        if r.kind == "bucket-update" and r.extra.get("update_id") == update_id
-    }
     # a bucket is stale while ANY committed update lacks its bucket-update
     # record — including prior updates that committed partials but crashed
     # before refreshing. One refresh heals every outstanding update at once
@@ -669,7 +544,7 @@ def run_incremental(
                     f"bucket {b}: no partial rows survive the update and no "
                     "published rows exist to splice — nothing to publish"
                 )
-            tier_rows = fill_tiers(folded, cfg, tiers)
+            tier_rows = fill_tiers(folded, cfg, tiers, retention)
             tmp_b = f"{out_bucket}.tmp-{os.getpid()}"
             shutil.rmtree(tmp_b, ignore_errors=True)
             os.makedirs(tmp_b, exist_ok=True)
@@ -718,6 +593,163 @@ def run_incremental(
                     ),
                 )
             refreshed += 1
+    return refreshed
+
+
+def run_incremental(
+    out_dir: str,
+    new_input: "str | None",
+    *,
+    fill: FillConfig | None = None,
+    mode: str = "add",
+    deletes=None,
+) -> dict:
+    """Continuous-aggregate update: fold NEW input into a completed
+    checkpointed output, recomputing only the buckets the new data touches.
+
+    Three update shapes, all manifest-committed and idempotent by the
+    order-independent checksum of the staged rows (a re-submitted identical
+    update is a no-op; a crash between staging and finalize is repaired by
+    re-running — the stage is committed before any tier is touched):
+
+    - ``mode="add"`` (default): append-style ingest. Staged partials are
+      ADDITIVE (count/sum/min/max combine), so recompute order between
+      updates is irrelevant.
+    - ``mode="replace"``: upsert. For every (source, minute) key present in
+      ``new_input``, the staged partials REPLACE all earlier partials for
+      that key (base and prior updates alike). Replace granularity is the
+      partial key — the update input must carry the FULL new content of
+      every minute it touches. Later additive updates still add on top.
+    - ``deletes=<path | Dataset>`` (composable with either mode, or alone
+      with ``new_input=None``): a table with ``doc_id``/``source`` columns
+      whose (source, minute) keys are TOMBSTONED — all earlier partials for
+      those keys are suppressed; the minutes become gaps.
+
+    Replace/tombstone updates are ORDERED by manifest commit sequence (the
+    reset applies to strictly earlier rows); additive updates commute, so
+    existing add-only outputs are unaffected — their update ids and
+    recompute results are bit-identical to the pre-upsert engine.
+
+    Incremental cost is O(new data) for the heavy pass plus O(touched
+    buckets) for finalize — untouched buckets are never read. Within a
+    touched bucket, one task folds the partials in Arrow, runs the fill
+    kernel once over the recomputed sources and reads the published rows
+    only to splice untouched sources (not at all when every source is
+    touched). The kernel runs with the base run's tiers and ``retention``
+    (both in the ``partials`` record). Each ``bucket-update`` record's
+    ``extra`` carries ``sources_recomputed``, ``sources_spliced`` and
+    ``rows_in`` (partial rows fed to the kernel).
+    """
+    import glob
+
+    from datafiller_ray.functions.hashing import string_hash64
+    from datafiller_ray.stages.validate import extract_epoch_minute
+
+    if mode not in ("add", "replace"):
+        raise ValueError(f"mode must be 'add' or 'replace', got {mode!r}")
+    if new_input is None and deletes is None:
+        raise ValueError("need new_input, deletes, or both")
+
+    records = lineage.read_manifest(out_dir)
+    meta, cfg = _base_run(out_dir, records, fill)
+    n_buckets = int(meta["n_buckets"])
+    check_tokens = bool(meta.get("check_tokens", True))
+    updates_root = os.path.join(out_dir, "partials_updates")
+    os.makedirs(updates_root, exist_ok=True)
+
+    # stage the new partials (the only pass over the new token payload)
+    tmp = os.path.join(updates_root, "staging.tmp")
+    shutil.rmtree(tmp, ignore_errors=True)
+    op_val = 0 if mode == "add" else 1
+
+    def add_op(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "op", pa.array(np.full(t.num_rows, op_val, np.int8), pa.int8())
+        )
+
+    def tombstones(t: pa.Table) -> pa.Table:
+        minute = extract_epoch_minute(t["doc_id"])
+        bucket_ts = pc.multiply(minute, pa.scalar(60, pa.int64()))
+        src = np.asarray(t["source"].to_pandas(), dtype="U")
+        skey = string_hash64(src).view(np.int64)
+        zeros = pa.array(np.zeros(t.num_rows, np.int64), pa.int64())
+        return pa.table(
+            {
+                "source": t["source"],
+                "skey": pa.array(skey, pa.int64()),
+                "bucket_ts": bucket_ts,
+                "count": zeros,
+                "sum": zeros,
+                "min": zeros,
+                "max": zeros,
+                "op": pa.array(np.full(t.num_rows, 2, np.int8), pa.int8()),
+            }
+        )
+
+    staged = []
+    if new_input is not None:
+        staged.append(
+            partial_aggregates(new_input, check_tokens=check_tokens).map_batches(
+                add_op, batch_format="pyarrow"
+            )
+        )
+    if deletes is not None:
+        dds = (
+            deletes
+            if isinstance(deletes, ray.data.Dataset)
+            else ray.data.read_parquet(deletes, columns=["doc_id", "source"])
+        )
+        staged.append(dds.map_batches(tombstones, batch_format="pyarrow"))
+    partials = staged[0] if len(staged) == 1 else staged[0].union(*staged[1:])
+    partials = partials.map_batches(_add_bucket(n_buckets), batch_format="pyarrow")
+    partials.write_parquet(tmp, partition_cols=["bucket"])
+    audit = pds.dataset(tmp, partitioning="hive").to_table(
+        columns=["source", "bucket_ts", "count", "sum", "op"]
+    )
+    if pc.max(audit["op"]).as_py() == 0:
+        # pure-add updates hash exactly as the pre-upsert engine did, so
+        # previously committed update ids stay recognized (idempotency)
+        audit = audit.drop_columns(["op"])
+    update_id = lineage.rows_checksum(
+        {c: audit[c].to_numpy(zero_copy_only=False) for c in audit.column_names}
+    )
+    update_dir = os.path.join(updates_root, update_id)
+    committed_updates = {
+        r.extra.get("update_id") for r in records if r.kind == "update-partials"
+    }
+    if update_id in committed_updates:
+        shutil.rmtree(tmp, ignore_errors=True)
+    else:
+        shutil.rmtree(update_dir, ignore_errors=True)
+        os.replace(tmp, update_dir)
+        lineage.append_record(
+            out_dir,
+            lineage.LineageRecord(
+                kind="update-partials",
+                partition_id=-1,
+                row_count=audit.num_rows,
+                checksum=update_id,
+                output_path=update_dir,
+                input_fragments=[
+                    str(x)
+                    for x in (new_input, deletes)
+                    if x is not None and isinstance(x, str)
+                ],
+                extra={"update_id": update_id, "mode": mode},
+            ),
+        )
+        records = lineage.read_manifest(out_dir)
+
+    touched = sorted(
+        int(os.path.basename(p).split("=", 1)[1])
+        for p in glob.glob(os.path.join(update_dir, "bucket=*"))
+    )
+    done = {
+        r.partition_id
+        for r in records
+        if r.kind == "bucket-update" and r.extra.get("update_id") == update_id
+    }
+    refreshed = _refresh_stale_buckets(out_dir, records, meta, cfg)
     return {
         "update_id": update_id,
         "touched_buckets": touched,
@@ -746,17 +778,23 @@ def compact_updates(out_dir: str) -> dict:
     4. GC the folded update dirs (safe any time after step 3; a crash
        between 3 and 4 just leaves dirs that are no longer read).
 
-    Published tiers are untouched: compaction changes the partials
-    REPRESENTATION only, pinned by the equality tests. Uncommitted staged
-    dirs (a crashed ``run_incremental``) are left alone. Re-submitting a
-    folded update remains a no-op (its id stays in the manifest)."""
+    Compaction changes the partials REPRESENTATION only, pinned by the
+    equality tests. A committed update whose bucket refresh never ran (a
+    crash after its ``update-partials`` record) is refreshed first, with
+    :func:`run_incremental`'s refresh: once folded, no later update would
+    list its buckets as stale. Other published tiers are untouched.
+    Uncommitted staged dirs (a crashed ``run_incremental``) are left alone.
+    Re-submitting a folded update remains a no-op (its id stays in the
+    manifest)."""
     import glob
 
     import pyarrow.parquet as pq
 
     records = lineage.read_manifest(out_dir)
-    if not any(r.kind == "partials" for r in records):
-        raise ValueError(f"{out_dir} has no completed checkpointed run")
+    meta, cfg = _base_run(out_dir, records)
+    refreshed = _refresh_stale_buckets(out_dir, records, meta, cfg)
+    if refreshed:
+        records = lineage.read_manifest(out_dir)
     base_dir, folded = _resolve_partials(out_dir, records)
     updates_root = os.path.join(out_dir, "partials_updates")
 
@@ -772,7 +810,8 @@ def compact_updates(out_dir: str) -> dict:
         if os.path.isdir(os.path.join(updates_root, uid)):
             live.append(uid)
     if not live:
-        return {"folded_updates": 0, "epoch_dir": base_dir}
+        return {"folded_updates": 0, "epoch_dir": base_dir,
+                "refreshed_buckets": refreshed}
 
     n_epochs = sum(1 for r in records if r.kind == "partials-compact")
     epoch_dir = os.path.join(out_dir, f"partials_epoch_{n_epochs + 1}")
@@ -854,6 +893,7 @@ def compact_updates(out_dir: str) -> dict:
         "folded_updates": len(live),
         "epoch_dir": epoch_dir,
         "buckets": len(buckets),
+        "refreshed_buckets": refreshed,
     }
 
 

@@ -5,7 +5,7 @@ Physical plan (SURVEY.md §3.4):
     read_parquet (columns pruned to the 4 contract columns)
       -> map_batches(validate + bucketize + per-block partial agg)   [fused with the read: one task per file]
       -> exchange on skey                                             [THE shuffle — partial rows only]
-      -> per-skey group fn (combine -> cascade 1m/1h/1d -> densify -> gap-fill [-> Gorilla])
+      -> fill_tiers per run of whole skey groups (combine -> cascade 1m/1h/1d -> densify -> gap-fill [-> Gorilla])
       -> Dataset of tier rows (or blob rows) -> write_parquet
 
 The heavy token payload never crosses the shuffle: the partial-agg stage
@@ -17,12 +17,16 @@ All per-group work is vectorized NumPy on series that are tiny relative to
 the input (one row per source-minute).
 
 Two exchanges implement the shuffle: Ray Data's sort-based
-``groupby("skey").map_groups`` (:func:`rollup_tiers`) and the engine's
-in-memory hash exchange through the object store,
-:func:`bucketed_map_groups` (:func:`rollup_tiers_bucketed`, the production
-path). The hash exchange sizes its partition count from the cluster's CPUs
-and the partial bytes, streams each reduce task's output in blocks of about
-one target block, and writes nothing to disk.
+``groupby("skey").map_groups`` (:func:`rollup_tiers`, one pandas call per
+``skey`` group) and the engine's in-memory hash exchange through the object
+store, :func:`bucketed_map_groups` (:func:`rollup_tiers_bucketed`, the
+production path). Both run the one fill kernel, ``stages/fill.fill_tiers``.
+The hash exchange sizes its partition count from the cluster's CPUs and the
+partial bytes; each reduce task sorts its partition once and calls the
+kernel once per run of whole ``skey`` groups on Arrow tables — once per
+partition unless the run's projected output passes one target block — so
+the output streams in blocks of about that size, Arrow end to end, and
+nothing is written to disk.
 """
 
 from __future__ import annotations
@@ -277,8 +281,10 @@ def rollup_tiers_bucketed(
     ~20s near-serial in Sort at 32 CPUs). This variant moves the partial
     rows through :func:`bucketed_map_groups`, a hash exchange in Ray's
     object store: each partial block is split by ``skey % n``, then one
-    task per partition runs the per-source fill. Output rows match
-    :func:`rollup_tiers` exactly (pinned by tests).
+    task per partition runs ``fill_tiers`` (or, for blobs, ``fill_tiers``
+    then ``encode_tier_chunks``) once per run of whole ``skey`` groups, on
+    Arrow tables. Output rows match :func:`rollup_tiers` exactly (pinned by
+    tests).
 
     ``n_buckets`` is the partition count; ``None`` derives it from the
     cluster's CPUs and the partial bytes (see :func:`bucketed_map_groups`).
@@ -286,7 +292,9 @@ def rollup_tiers_bucketed(
     """
     cfg = fill if fill is not None else FillConfig()
     partials = partial_aggregates(input_path, check_tokens=check_tokens)
-    fn = make_fill_group_fn(cfg, tiers=tiers, retention=retention, emit=emit)
+    fn = make_fill_group_fn(
+        cfg, tiers=tiers, retention=retention, emit=emit, batch_format="pyarrow"
+    )
     return bucketed_map_groups(partials, fn, n_buckets=n_buckets)
 
 
@@ -306,28 +314,52 @@ def _split_by_skey(t, n: int):
 @ray.remote(num_returns="streaming")
 def _reduce_partition(fn, block_bytes, *pieces):
     """Exchange reduce side: concatenate one partition's pieces, sort by
-    ``skey``, apply ``fn`` to each ``skey`` slice and yield the output as
-    Arrow blocks of about ``block_bytes`` each (one block when it is None)."""
+    ``skey``, cut the sorted table into runs of whole ``skey`` groups, call
+    ``fn`` once per run on an Arrow table, and yield the output as Arrow
+    blocks of about ``block_bytes`` each (one run and one block when it is
+    None).
+
+    A run closes at the group where its projected output reaches
+    ``block_bytes``. The projection is the run's 1m-grid cells (each
+    group's ``bucket_ts`` span, one segmented reduce over the sorted
+    partition) times the output bytes per cell seen so far in this task;
+    before the first call, the partial bytes per row stand in. A group is
+    never split, so a task holds about one block of output plus one
+    group's output."""
     import numpy as np
-    import pandas as pd
     import pyarrow as pa
     from ray.data.block import BlockAccessor
 
+    from datafiller_ray.stages.fill import segment_starts
+
     t = pa.concat_tables(pieces).sort_by("skey")
     del pieces  # the sort copied them; unpin the object-store pieces
-    skeys = np.asarray(t["skey"])
-    bounds = np.flatnonzero(np.diff(skeys)) + 1
-    starts = np.concatenate([[0], bounds])
-    ends = np.concatenate([bounds, [skeys.size]])
-    out, held = [], 0
-    for s, e in zip(starts, ends):
-        out.append(fn(t.slice(s, e - s).to_pandas()))
-        held += int(out[-1].memory_usage(index=False).sum())
+    starts = segment_starts(np.asarray(t["skey"]))
+    bounds = np.append(starts, t.num_rows)
+    ts = np.asarray(t["bucket_ts"])
+    span = np.maximum.reduceat(ts, starts) - np.minimum.reduceat(ts, starts)
+    cells = np.concatenate([[0], np.cumsum(span // 60 + 1)])  # before group g
+    per_cell, seen_cells, seen_bytes = t.nbytes / t.num_rows, 0, 0
+    out, held, i = [], 0, 0
+    while i < starts.size:
+        j = starts.size
+        if block_bytes is not None:
+            j = int(np.searchsorted(cells, cells[i] + block_bytes / per_cell))
+            j = min(max(j, i + 1), starts.size)
+        res = BlockAccessor.for_block(
+            fn(t.slice(bounds[i], bounds[j] - bounds[i]))
+        ).to_arrow()
+        seen_cells += cells[j] - cells[i]
+        seen_bytes += res.nbytes
+        per_cell = max(seen_bytes, 1) / seen_cells
+        out.append(res)
+        held += res.nbytes
+        i = j
         if block_bytes is not None and held >= block_bytes:
-            yield BlockAccessor.for_block(pd.concat(out, ignore_index=True)).to_arrow()
+            yield pa.concat_tables(out, promote_options="default")
             out, held = [], 0
     if out:
-        yield BlockAccessor.for_block(pd.concat(out, ignore_index=True)).to_arrow()
+        yield pa.concat_tables(out, promote_options="default")
 
 
 def bucketed_map_groups(
@@ -337,19 +369,25 @@ def bucketed_map_groups(
     n_buckets: int | None = None,
 ) -> "Dataset":
     """The engine's explicit hash-partitioned exchange, generalized: apply
-    a per-skey-group pandas fn (the same signature as
-    ``groupby("skey").map_groups``) through an in-memory hash exchange
-    instead of Ray Data's sort-based one. Any pipeline built on the (skey,
+    ``fn`` to the partial rows of whole ``skey`` groups through an
+    in-memory hash exchange instead of Ray Data's sort-based one. ``fn``
+    takes an Arrow table holding one or more whole ``skey`` groups, sorted
+    by ``skey``, and returns an Arrow table (or a pandas frame, converted as
+    Ray Data converts a pandas block). Any pipeline built on the (skey,
     source, bucket_ts, ...) partial-row contract — tier fill, sliding
-    windows, profiles, smoothing — reuses this one partitioning key.
+    windows, profiles, smoothing — reuses this one partitioning key; a fn
+    over several sources sub-groups by (skey, source), so a hash collision
+    stays two series.
 
     The partial blocks are produced first and their bytes summed. One task
     per block splits it by ``skey % n`` into ``n`` object-store pieces; one
-    task per non-empty partition concatenates its pieces, sorts by ``skey``,
-    calls ``fn`` on each ``skey`` slice and yields the output as blocks of
-    about ``DataContext.target_max_block_size``. The reduce outputs stay in
-    the object store. Nothing is written to disk, so multi-node clusters
-    need no shared storage.
+    task per non-empty partition concatenates its pieces, sorts by
+    ``skey``, and calls ``fn`` once per run of whole groups
+    (:func:`_reduce_partition`). A run closes when its projected output
+    reaches ``DataContext.target_max_block_size``, so with the default
+    target a partition is one call; the output streams as blocks of about
+    that size. The reduce outputs stay in the object store. Nothing is
+    written to disk, so multi-node clusters need no shared storage.
 
     ``n_buckets=None`` derives ``n = max(4 * cluster CPUs,
     ceil(partial_bytes / DataContext.target_max_block_size))``. The 4x-CPU
@@ -358,14 +396,18 @@ def bucketed_map_groups(
     a 4-core VM, 3M rows / 2048 sources: -15% at 4 CPUs and -19% at 1 CPU
     against n = CPUs, for ~5% more wall at 4 CPUs; n=128 cost +50%). The
     bytes term bounds a reduce task's input to about one target block of
-    partial rows on average, and the streamed output bounds what a task
-    holds of the (larger, densified) fn output to about one more block plus
-    one group's output. A partition
-    holding a hot key can be larger; a single series beyond worker memory
-    is the salted path's job (choose_fill_path / rollup_tiers_auto). The
-    plan is logged once per exchange on this module's logger.
+    partial rows on average, and the run rule bounds what a task holds of
+    the (larger, densified) fn output to about one more block plus one
+    group's output. A partition holding a hot key can be larger; a single
+    series beyond worker memory is the salted path's job (choose_fill_path
+    / rollup_tiers_auto).
 
-    The exchange runs when this function is called, not lazily.
+    The plan is logged once per exchange on this module's logger, after
+    the split, in ``record.plan``: partial bytes, blocks, CPUs, ``n``,
+    whether ``n`` was derived, and the partial rows per partition
+    (``rows_max``, ``rows_total``, ``partitions_nonempty``) — the
+    partition skew. The exchange runs when this function is called, not
+    lazily.
     """
     import math
 
@@ -384,17 +426,20 @@ def bucketed_map_groups(
     n = n_buckets
     if n is None:
         n = max(4 * cpus, math.ceil(partial_bytes / target) if target else 1)
+    split = _split_by_skey.options(num_returns=n + 1)
+    pieces = [split.remote(b, n) for b in blocks]
+    counts = sum(ray.get([p[-1] for p in pieces]), np.zeros(n, np.int64))
     plan = {
         "partial_bytes": partial_bytes,
         "blocks": len(blocks),
         "cpus": cpus,
         "n": n,
         "derived": n_buckets is None,
+        "rows_max": int(counts.max()),
+        "rows_total": int(counts.sum()),
+        "partitions_nonempty": int(np.count_nonzero(counts)),
     }
     _log.info("bucketed exchange plan: %s", plan, extra={"plan": plan})
-    split = _split_by_skey.options(num_returns=n + 1)
-    pieces = [split.remote(b, n) for b in blocks]
-    counts = sum(ray.get([p[-1] for p in pieces]), np.zeros(n, np.int64))
     fn_ref = ray.put(fn)
     outputs = [
         _reduce_partition.remote(fn_ref, target, *(p[i] for p in pieces))

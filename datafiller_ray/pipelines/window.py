@@ -153,17 +153,31 @@ def _shuffled_partials(input_path, *, check_tokens: bool = False):
 
 
 def _per_source_group_fn(one_source):
-    """Wrap a per-source frame fn with the skey-collision sub-grouping used
-    by every group fn in the engine (stages/fill.py make_fill_group_fn)."""
-    from datafiller_ray.stages.fill import combine_partials
+    """Wrap a per-source frame fn for either exchange. The group fn takes
+    one or more whole ``skey`` groups of partial rows — a pandas frame from
+    ``map_groups`` or an Arrow table from ``bucketed_map_groups`` — and
+    hands each (skey, source) series, combined to one row per minute, to
+    ``one_source`` in (skey, source) order, so a hash collision stays two
+    series (as in stages/fill.py ``fill_tiers``)."""
+    from datafiller_ray.stages.fill import reduce_sorted, segment_starts, sorted_codes
 
-    def group_fn(g: pd.DataFrame) -> pd.DataFrame:
-        if g["source"].iloc[0] == g["source"].iloc[-1] and g["source"].nunique() == 1:
-            return one_source(combine_partials(g), g["source"].iloc[0])
+    def group_fn(g) -> pd.DataFrame:
+        code, uniques = sorted_codes(g["source"])
+        skey = np.asarray(g["skey"], dtype=np.int64)
+        ts = np.asarray(g["bucket_ts"], dtype=np.int64)
+        order = np.lexsort((ts, code, skey))
+        skey, code, ts = skey[order], code[order], ts[order]
+        vals = [
+            np.asarray(g[c], dtype=np.int64)[order]
+            for c in ("count", "sum", "min", "max")
+        ]
+        bounds = np.append(segment_starts(skey, code), ts.size)
         return pd.concat(
             [
-                one_source(combine_partials(sub), src)
-                for src, sub in g.groupby("source", sort=True)
+                one_source(
+                    reduce_sorted(ts[a:b], *(v[a:b] for v in vals)), uniques[code[a]]
+                )
+                for a, b in zip(bounds[:-1], bounds[1:])
             ],
             ignore_index=True,
         )

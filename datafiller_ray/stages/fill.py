@@ -1,8 +1,9 @@
 """Tier cascade + grid densification + gap fill, one columnar kernel.
 
 :func:`fill_tiers` takes the partial-aggregate rows of any number of
-sources — one ``skey`` group of the rollup's exchange (``map_groups`` or
-``bucketed_map_groups``), or a whole checkpoint bucket — and, with NumPy
+sources — one ``skey`` group of the sort exchange (``map_groups``), a run
+of whole ``skey`` groups of the hash exchange (``bucketed_map_groups``),
+or a whole checkpoint bucket — and, with NumPy
 over the whole frame at once:
 
 1. orders the rows by ``skey``, then the source string (so a hash collision
@@ -63,7 +64,7 @@ _METHOD_LABELS = np.array(
 )
 _UNFILLED = len(gapfill.METHOD_NAMES)
 
-def _reduce_sorted(
+def reduce_sorted(
     keys: np.ndarray, count: np.ndarray, s: np.ndarray, mn: np.ndarray, mx: np.ndarray
 ) -> pd.DataFrame:
     """Grouped (sum, sum, min, max) over a SORTED key column via reduceat —
@@ -93,7 +94,7 @@ def combine_partials(g: pd.DataFrame) -> pd.DataFrame:
     """Final combine of per-batch partial aggregates for one source."""
     ts = g["bucket_ts"].to_numpy(np.int64)
     order = np.argsort(ts, kind="stable")
-    return _reduce_sorted(
+    return reduce_sorted(
         ts[order],
         g["count"].to_numpy(np.int64)[order],
         g["sum"].to_numpy(np.int64)[order],
@@ -308,19 +309,25 @@ def make_fill_group_fn(
     tiers: tuple[str, ...] = ("1m", "1h", "1d"),
     retention: RetentionConfig | None = None,
     emit: str = "rows",
+    batch_format: str = "pandas",
 ):
-    """Build the per-``skey``-group fn for ``map_groups`` /
-    ``bucketed_map_groups``: :func:`fill_tiers` on the group, as pandas.
-    ``emit="rows"`` yields tier rows; ``emit="blobs"`` Gorilla-encodes each
-    (source, tier) chunk in place (same shuffle, different sink shape)."""
+    """Build the group fn of the rollup's exchange: :func:`fill_tiers` on
+    one ``skey`` group (``map_groups``, ``batch_format="pandas"``) or on a
+    run of whole ``skey`` groups (``bucketed_map_groups``,
+    ``batch_format="pyarrow"``: Arrow in and out). ``emit="rows"`` yields
+    tier rows; ``emit="blobs"`` Gorilla-encodes each (source, tier) chunk
+    in place (same shuffle, different sink shape)."""
     steps = _tier_steps(tiers)
 
-    def fill_group(g: pd.DataFrame) -> pd.DataFrame:
-        result = fill_tiers(g, cfg, steps, retention).to_pandas()
+    def fill_group(g):
+        rows = fill_tiers(g, cfg, steps, retention)
         if emit == "blobs":
             from datafiller_ray.stages.compress import encode_tier_chunks
 
-            return encode_tier_chunks(result)
-        return result
+            blobs = encode_tier_chunks(rows.to_pandas())
+            if batch_format == "pandas":
+                return blobs
+            return pa.Table.from_pandas(blobs, preserve_index=False)
+        return rows.to_pandas() if batch_format == "pandas" else rows
 
     return fill_group

@@ -12,7 +12,13 @@ import pytest
 
 from datafiller_ray.config import FillConfig
 from datafiller_ray.fixtures import generate_input_table
-from datafiller_ray.pipelines.rollup import rollup_tiers, rollup_tiers_bucketed
+from datafiller_ray.pipelines.rollup import (
+    bucketed_map_groups,
+    partial_aggregates,
+    rollup_tiers,
+    rollup_tiers_bucketed,
+)
+from datafiller_ray.stages.fill import fill_tiers, make_fill_group_fn
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +97,15 @@ def test_bucketed_logs_exchange_plan(ray_session, small_input, caplog):
     assert 0 < derived["partial_bytes"] < 1 << 20
     assert derived["blocks"] >= 1
     assert not explicit["derived"] and explicit["n"] == 3
+    # rows per partition: the partition skew, after the split
+    skey = partial_aggregates(small_input, check_tokens=False).to_pandas()["skey"]
+    for plan in plans:
+        part = skey.to_numpy().view(np.uint64) % np.uint64(plan["n"])
+        counts = np.bincount(part.astype(np.int64), minlength=plan["n"])
+        assert plan["rows_total"] == len(skey) == counts.sum()
+        assert plan["rows_max"] == counts.max()
+        assert plan["partitions_nonempty"] == np.count_nonzero(counts)
+    assert explicit["partitions_nonempty"] == 3
 
 
 def test_bucketed_streams_output_in_target_blocks(ray_session, small_input, caplog):
@@ -132,6 +147,8 @@ def test_bucketed_leaves_no_scratch_dirs(ray_session, small_input):
 
 
 def test_bucketed_blob_emit(ray_session, small_input, tmp_path):
+    from datafiller_ray.stages.compress import decode_tier_chunk
+
     cfg = FillConfig(strategy="linear", max_gap=8)
     blobs = rollup_tiers_bucketed(
         small_input, fill=cfg, check_tokens=False, emit="blobs",
@@ -139,6 +156,115 @@ def test_bucketed_blob_emit(ray_session, small_input, tmp_path):
     ).to_pandas()
     rows = rollup_tiers(small_input, fill=cfg, check_tokens=False).to_pandas()
     assert len(blobs) == rows.groupby(["source", "tier"]).ngroups
+    decoded = pd.concat(
+        [decode_tier_chunk(r) for r in blobs.to_dict("records")], ignore_index=True
+    )
+    cols = ["source", "tier", "bucket_ts", "count", "sum", "min", "max", "value"]
+    pd.testing.assert_frame_equal(
+        _norm(decoded.assign(filled=False, fill_method=""))[cols],
+        _norm(rows)[cols],
+        check_dtype=False,
+    )
+
+
+@pytest.fixture
+def block_target(request):
+    """Set ``DataContext.target_max_block_size`` for one test (None keeps
+    the default)."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    saved = ctx.target_max_block_size
+    if request.param is not None:
+        ctx.target_max_block_size = request.param
+    yield request.param
+    ctx.target_max_block_size = saved
+
+
+def _tagged_fill(cfg):
+    """The bucketed rollup's fill fn, tagging its output rows with a per-call
+    id, so a test can count the calls and the groups each one got."""
+    fill = make_fill_group_fn(cfg, batch_format="pyarrow")
+
+    def fn(run):
+        import uuid
+
+        import pyarrow as pa
+
+        out = fill(run)
+        return out.append_column("call", pa.array([uuid.uuid4().hex] * out.num_rows))
+
+    return fn
+
+
+def _calls(out: pd.DataFrame) -> pd.Series:
+    """Calls per source; a source in two calls is an ``skey`` group split."""
+    per_source = out.groupby("source")["call"].nunique()
+    assert (per_source == 1).all(), "an skey group was split across calls"
+    return out.groupby("call")["source"].nunique()
+
+
+def test_reduce_calls_fn_once_per_partition(ray_session, small_input, caplog):
+    cfg = FillConfig(strategy="linear", max_gap=8)
+    partials = partial_aggregates(small_input, check_tokens=False)
+    with caplog.at_level(logging.INFO, logger="datafiller_ray.pipelines.rollup"):
+        out = bucketed_map_groups(partials, _tagged_fill(cfg), n_buckets=3)
+    (plan,) = [r.plan for r in caplog.records if hasattr(r, "plan")]
+    out = out.to_pandas()
+    assert len(_calls(out)) == plan["partitions_nonempty"] == 3
+    want = _norm(rollup_tiers(small_input, fill=cfg, check_tokens=False).to_pandas())
+    pd.testing.assert_frame_equal(_norm(out), want)
+
+
+@pytest.mark.parametrize("block_target", [8 * 1024], indirect=True)
+def test_reduce_runs_close_at_the_block_target(ray_session, small_input, block_target):
+    cfg = FillConfig(strategy="linear", max_gap=8)
+    partials = partial_aggregates(small_input, check_tokens=False)
+    ds = bucketed_map_groups(partials, _tagged_fill(cfg), n_buckets=1)
+    assert ds.num_blocks() > 1
+    out = ds.to_pandas()
+    assert len(_calls(out)) > 1  # one partition, several runs
+    want = _norm(rollup_tiers(small_input, fill=cfg, check_tokens=False).to_pandas())
+    pd.testing.assert_frame_equal(_norm(out), want)
+
+
+def test_skey_collision_inside_one_run_keeps_two_series(ray_session, small_input):
+    import pyarrow as pa
+    import ray.data
+
+    cfg = FillConfig(strategy="linear", max_gap=8)
+    partials = partial_aggregates(small_input, check_tokens=False).to_pandas()
+    srcs = sorted(partials["source"].unique())
+    a_key = partials.loc[partials["source"] == srcs[0], "skey"].iloc[0]
+    partials.loc[partials["source"] == srcs[1], "skey"] = a_key
+    fn = make_fill_group_fn(cfg, batch_format="pyarrow")
+    forced = ray.data.from_arrow(pa.Table.from_pandas(partials, preserve_index=False))
+    got = bucketed_map_groups(forced, fn, n_buckets=2)
+    got = _norm(got.to_pandas())
+    pd.testing.assert_frame_equal(got, _norm(fill_tiers(partials, cfg).to_pandas()))
+    per_source = got[got["source"].isin(srcs[:2])].groupby("source")
+    assert per_source.ngroups == 2
+    # each collided source keeps its own series: its own first bucket
+    for src, g in per_source:
+        first = partials.loc[partials["source"] == src, "bucket_ts"].min()
+        assert g.loc[g["tier"] == "1m", "bucket_ts"].min() == first
+
+
+@pytest.mark.parametrize("block_target", [None, 8 * 1024], indirect=True)
+def test_bucketed_window_ops_equal_sort(ray_session, small_input, block_target):
+    from datafiller_ray.pipelines.window import rolling_aggregates, topk_buckets
+
+    for op in (
+        lambda shuffle: rolling_aggregates(small_input, window=5, shuffle=shuffle),
+        lambda shuffle: topk_buckets(small_input, k=3, shuffle=shuffle),
+    ):
+        a = op("sort").to_pandas()
+        b = op("bucketed").to_pandas()
+        key = list(a.columns)
+        pd.testing.assert_frame_equal(
+            a.sort_values(key).reset_index(drop=True),
+            b[key].sort_values(key).reset_index(drop=True),
+        )
 
 
 def test_grouped_topk_matches_brute_force(ray_session):

@@ -222,42 +222,33 @@ def test_streaming_ingest_loop_blobs(ray_session, split_inputs, tmp_path):
     pd.testing.assert_frame_equal(got, want)
 
 
-def test_heals_bucket_touched_only_by_crashed_prior_update(
-    ray_session, split_inputs, tmp_path
-):
-    """ADVICE round-3 (checkpoint.py:437): a bucket touched ONLY by a prior
-    update that committed its partials but crashed before refreshing must be
-    healed by the NEXT update even when that update touches a disjoint
-    bucket set — todo now includes every (committed update, bucket) pair
-    lacking a bucket-update record."""
-    import json
-    import shutil as _shutil
-
-    full, early, late = split_inputs
-    late_t = pq.read_table(late)
-
-    # split the late rows by SOURCE so u1 and u2 can touch disjoint buckets
-    srcs = sorted(set(late_t["source"].to_pylist()))
+def _split_by_source(late: str, tmp_path) -> tuple[str, str]:
+    """The late rows split by SOURCE into u1 (the first source) and u2 (the
+    rest), so the two updates touch disjoint buckets."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    late_t = pq.read_table(late)
+    srcs = sorted(set(late_t["source"].to_pylist()))
     u1_t = late_t.filter(pc.is_in(late_t["source"], value_set=pa.array(srcs[:1])))
     u2_t = late_t.filter(pc.is_in(late_t["source"], value_set=pa.array(srcs[1:])))
     u1_path, u2_path = str(tmp_path / "u1.parquet"), str(tmp_path / "u2.parquet")
     pq.write_table(u1_t, u1_path)
     pq.write_table(u2_t, u2_path)
+    return u1_path, u2_path
 
-    out = str(tmp_path / "out")
-    run_checkpointed(early, out, fill=CFG, n_buckets=5)
 
-    # snapshot the published tiers, run u1 fully, then rewind to simulate a
-    # crash AFTER the update-partials commit but BEFORE any bucket refresh:
-    # published rows back to pre-u1, no bucket-update records for u1
+def _crash_before_refresh(out: str, update, tmp_path) -> dict:
+    """Run ``update`` fully, then rewind to simulate a crash AFTER its
+    update-partials commit but BEFORE any bucket refresh: published rows
+    back to pre-update, no bucket-update records for it."""
+    import json
+    import shutil as _shutil
+
     backup = str(tmp_path / "tiers_backup")
     _shutil.copytree(f"{out}/tiers", backup)
-    s1 = run_incremental(out, u1_path)
-    u1_buckets = set(s1["touched_buckets"])
-    assert u1_buckets, "u1 must touch at least one bucket"
+    s1 = run_incremental(out, update)
+    assert s1["touched_buckets"], "the update must touch at least one bucket"
     _shutil.rmtree(f"{out}/tiers")
     _shutil.copytree(backup, f"{out}/tiers")
     mp = lineage.manifest_path(out)
@@ -272,6 +263,24 @@ def test_heals_bucket_touched_only_by_crashed_prior_update(
     ]
     with open(mp, "w") as f:
         f.write("\n".join(kept) + "\n")
+    return s1
+
+
+def test_heals_bucket_touched_only_by_crashed_prior_update(
+    ray_session, split_inputs, tmp_path
+):
+    """ADVICE round-3 (checkpoint.py:437): a bucket touched ONLY by a prior
+    update that committed its partials but crashed before refreshing must be
+    healed by the NEXT update even when that update touches a disjoint
+    bucket set — todo now includes every (committed update, bucket) pair
+    lacking a bucket-update record."""
+    full, early, late = split_inputs
+    u1_path, u2_path = _split_by_source(late, tmp_path)
+
+    out = str(tmp_path / "out")
+    run_checkpointed(early, out, fill=CFG, n_buckets=5)
+    s1 = _crash_before_refresh(out, u1_path, tmp_path)
+    u1_buckets = set(s1["touched_buckets"])
 
     s2 = run_incremental(out, u2_path)
     # the victim buckets were refreshed by u2's run even if disjoint
@@ -283,6 +292,58 @@ def test_heals_bucket_touched_only_by_crashed_prior_update(
     )
     got = _norm(read_tier_output(out).to_pandas())
     want = _norm(rollup_tiers(full, fill=CFG).to_pandas())
+    pd.testing.assert_frame_equal(got, want)
+
+
+def test_compaction_refreshes_buckets_left_stale_by_crashed_update(
+    ray_session, split_inputs, tmp_path
+):
+    """Compaction folds every committed update, so an update whose bucket
+    refresh never ran must reach the tiers first: once folded, no later
+    update lists its buckets as stale."""
+    from datafiller_ray.pipelines.checkpoint import compact_updates
+
+    full, early, late = split_inputs
+    u1_path, u2_path = _split_by_source(late, tmp_path)
+
+    out = str(tmp_path / "out")
+    run_checkpointed(early, out, fill=CFG, n_buckets=5)
+    s1 = _crash_before_refresh(out, u1_path, tmp_path)
+
+    summary = compact_updates(out)
+    assert summary["folded_updates"] == 1
+    assert summary["refreshed_buckets"] == len(s1["touched_buckets"])
+    run_incremental(out, u2_path)
+    got = _norm(read_tier_output(out).to_pandas())
+    want = _norm(rollup_tiers(full, fill=CFG).to_pandas())
+    pd.testing.assert_frame_equal(got, want)
+
+
+def test_incremental_keeps_base_retention(ray_session, split_inputs, tmp_path):
+    """An update is refreshed with the base run's retention: an append with
+    rows below the base's 1m lower bound publishes none of them, and the
+    tiers equal a fresh retention-bounded rollup of the same input."""
+    import pyarrow as pa
+
+    from datafiller_ray.config import RetentionConfig
+    from datafiller_ray.stages.validate import extract_epoch_minute
+
+    full = pq.read_table(split_inputs[0])
+    third = np.arange(full.num_rows) % 3 == 0
+    base, more = str(tmp_path / "base.parquet"), str(tmp_path / "more.parquet")
+    pq.write_table(full.filter(pa.array(~third)), base)
+    pq.write_table(full.filter(pa.array(third)), more)
+    minute = np.asarray(extract_epoch_minute(full["doc_id"]))
+    bound = int(np.median(minute)) * 60
+    assert (minute[third] * 60 < bound).any()  # the append reaches below it
+    ret = RetentionConfig({"1m": (bound, None)})
+
+    out = str(tmp_path / "out")
+    run_checkpointed(base, out, fill=CFG, n_buckets=5, retention=ret)
+    run_incremental(out, more)
+    got = _norm(read_tier_output(out).to_pandas())
+    assert not ((got["tier"] == "1m") & (got["bucket_ts"] < bound)).any()
+    want = _norm(rollup_tiers(split_inputs[0], fill=CFG, retention=ret).to_pandas())
     pd.testing.assert_frame_equal(got, want)
 
 
