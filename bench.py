@@ -63,11 +63,7 @@ def run_bench() -> dict:
 
     from datafiller_ray.config import FillConfig
     from datafiller_ray.fixtures import ensure_fixture, sf_from_dir
-    from datafiller_ray.pipelines.rollup import (
-        rollup_tiers,
-        rollup_tiers_bucketed,
-        write_tiers,
-    )
+    from datafiller_ray.pipelines.rollup import rollup_tiers, write_tiers
 
     sf = sf_from_dir(SF_DIR)
     fixture = ensure_fixture(sf)
@@ -110,24 +106,14 @@ def run_bench() -> dict:
     shutil.rmtree(out_dir, ignore_errors=True)
 
     def headline():
-        # the production path: explicit hash-partitioned exchange
         shutil.rmtree(out_dir, ignore_errors=True)
-        ds = rollup_tiers_bucketed(
-            fixture, fill=FillConfig(strategy="linear", max_gap=60)
-        )
+        ds = rollup_tiers(fixture, fill=FillConfig(strategy="linear", max_gap=60))
         write_tiers(ds, out_dir)
 
     timed("rollup_gapfill_tiers", headline)
 
-    def plain_pipeline():
-        ds = rollup_tiers(fixture, fill=FillConfig(strategy="linear", max_gap=60))
-        shutil.rmtree("/tmp/bench_plain", ignore_errors=True)
-        write_tiers(ds, "/tmp/bench_plain")
-
-    timed("rollup_gapfill_tiers_sortshuffle", plain_pipeline)
-
     def blobs():
-        ds = rollup_tiers_bucketed(
+        ds = rollup_tiers(
             fixture,
             fill=FillConfig(strategy="linear", max_gap=60),
             check_tokens=False,
@@ -139,7 +125,7 @@ def run_bench() -> dict:
     timed("rollup_gorilla_blobs", blobs)
 
     def model_fill():
-        ds = rollup_tiers_bucketed(
+        ds = rollup_tiers(
             fixture,
             fill=FillConfig(strategy="model", fallback="simple"),
             tiers=("1m",),
@@ -350,11 +336,9 @@ def run_bench() -> dict:
             topk_buckets,
         )
 
-        # production path: the explicit hash exchange (measured 2-5x
-        # faster than the sort shuffle at sf0.1; the sort path stays
-        # covered by the flagship's *_sortshuffle row)
-        rolling_aggregates(fixture, window=60, shuffle="bucketed").count()
-        topk_buckets(fixture, k=5, shuffle="bucketed").count()
+        # two pipelines, one hash exchange each
+        rolling_aggregates(fixture, window=60).count()
+        topk_buckets(fixture, k=5).count()
 
     timed("rolling_window_topk", windows)
 
@@ -380,17 +364,13 @@ def run_bench() -> dict:
     def stream_profiles():
         # fifth-session family: two-stage chunked inter-arrival profile
         # over events + flags->islands anomaly intervals over the fixture
-        # (production hash exchange)
         from datafiller_ray.pipelines.events import interarrival_stats
         from datafiller_ray.pipelines.window import anomaly_intervals
 
         interarrival_stats(
             ray.data.read_parquet(f"{SF_DIR}/events.parquet")
         ).count()
-        anomaly_intervals(
-            fixture, window=60, factor=1.25, min_window=10,
-            shuffle="bucketed",
-        ).count()
+        anomaly_intervals(fixture, window=60, factor=1.25, min_window=10).count()
 
     timed("interarrival_anomaly_intervals", stream_profiles)
 
@@ -447,7 +427,7 @@ def run_bench() -> dict:
             ).map_batches(fn, batch_format="pyarrow")
 
         snapshot_diff(snap(0), snap(1)).count()
-        ohlc_candles(fixture, step=3600, shuffle="bucketed").count()
+        ohlc_candles(fixture, step=3600).count()
         cross_section_quantiles(fixture, step=3600).count()
 
     timed("diff_ohlc_crosssection", diff_candles)
@@ -458,7 +438,7 @@ def run_bench() -> dict:
         # burst) fused into ONE exchange — the kernel-fusion benchmark row
         from datafiller_ray.pipelines.window import source_profile
 
-        source_profile(fixture, shuffle="bucketed").count()
+        source_profile(fixture).count()
 
     timed("source_profile", fused_profile)
 
@@ -471,8 +451,8 @@ def run_bench() -> dict:
             kalman_fill,
         )
 
-        kalman_fill(fixture, shuffle="bucketed").count()
-        forecast_interval(fixture, shuffle="bucketed").count()
+        kalman_fill(fixture).count()
+        forecast_interval(fixture).count()
 
     timed("kalman_conformal", kalman_conformal)
 
@@ -507,8 +487,8 @@ def run_bench() -> dict:
             matrix_profile,
         )
 
-        matrix_profile(fixture, shuffle="bucketed").count()
-        lomb_scargle(fixture, shuffle="bucketed").count()
+        matrix_profile(fixture).count()
+        lomb_scargle(fixture).count()
 
     timed("matrix_profile_lomb", shape_spectral)
 
@@ -553,7 +533,7 @@ def run_scaling_job() -> dict:
 
     from datafiller_ray.config import FillConfig
     from datafiller_ray.fixtures import ensure_scaling_fixture
-    from datafiller_ray.pipelines.rollup import rollup_tiers_bucketed
+    from datafiller_ray.pipelines.rollup import rollup_tiers
 
     fixture = ensure_scaling_fixture()
     ray.data.read_parquet(fixture).count()  # warm page cache + workers
@@ -561,7 +541,7 @@ def run_scaling_job() -> dict:
         strategy="model", fallback="simple", lags=(1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6)
     )
     t0 = time.perf_counter()
-    n = rollup_tiers_bucketed(fixture, fill=cfg, check_tokens=False).count()
+    n = rollup_tiers(fixture, fill=cfg, check_tokens=False).count()
     sec = time.perf_counter() - t0
     out = {"cpus": NUM_CPUS, "sec": round(sec, 2), "tier_rows": n}
     ray.shutdown()

@@ -60,7 +60,7 @@ def __getattr__(name):  # lazy: keep `import datafiller_ray` ray-free
         "rollup_tiers",
         "rollup_tiers_bucketed",
         "rollup_tiers_auto",
-    "rollup_tiers_inferred",
+        "rollup_tiers_inferred",
         "rollup_tiers_salted",
         "write_tiers",
     ):

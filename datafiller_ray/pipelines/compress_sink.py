@@ -3,7 +3,7 @@
 For pipelines that already persisted tier rows (e.g. the checkpointed
 runner), this re-reads them column-pruned and chunk-encodes per
 (source, tier) without recomputing the rollup. The inline path
-(``rollup_tiers(emit="blobs")``) encodes inside the fill groupby and is
+(``rollup_tiers(emit="blobs")``) encodes inside the exchange reduce and is
 preferred when rows are not needed separately.
 """
 

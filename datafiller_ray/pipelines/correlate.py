@@ -13,7 +13,7 @@ Scale shape (the broadcast-small-side pattern, SURVEY.md §4):
             series against the broadcast reference grids (searchsorted)
             and emits one row per (source, ref) pair.
 
-No all-pairs shuffle: correlating all sources against all sources is
+No all-pairs shuffle. Correlating all sources against all sources is
 O(S^2) and is exactly the join this operator avoids — the reference set
 is the small side (bounded by ``max_refs``), everything else streams.
 
@@ -148,7 +148,6 @@ def source_correlation(
     min_common: int = 3,
     max_refs: int = _MAX_REFS_DEFAULT,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """Pearson correlation of every source's observed 1m token sums
     against each reference source, on their common observed buckets.
@@ -183,9 +182,7 @@ def source_correlation(
         refs = ray.get(handle)  # plasma-local after first fetch per node
         return _corr_one_source(obs, src, refs, min_common)
 
-    return _run_per_source(
-        input_path, one_source, check_tokens=check_tokens, shuffle=shuffle
-    )
+    return _run_per_source(input_path, one_source, check_tokens=check_tokens)
 
 
 def _hourly(ts: np.ndarray, s: np.ndarray, step: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -265,7 +262,6 @@ def lead_lag_xcorr(
     min_common: int = 3,
     max_refs: int = _MAX_REFS_DEFAULT,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """Lead-lag discovery: for every (source, reference) pair, the lag in
     ``-max_lag..max_lag`` step buckets that maximizes the Pearson
@@ -314,9 +310,7 @@ def lead_lag_xcorr(
         r = _ray.get(refs_ref) if not isinstance(refs_ref, dict) else refs_ref
         return _xcorr_one_source(obs, src, r, lags, step, min_common)
 
-    return _run_per_source(
-        input_path, one_source, check_tokens=check_tokens, shuffle=shuffle
-    )
+    return _run_per_source(input_path, one_source, check_tokens=check_tokens)
 
 
 def _rolling_sums(v: np.ndarray, lo: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -397,7 +391,6 @@ def rolling_corr(
     window: int = 60,
     max_refs: int = _MAX_REFS_DEFAULT,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """Rolling Pearson correlation of every source against each reference
     source over the trailing ``window`` COMMON observed 1m buckets (SQL
@@ -438,9 +431,7 @@ def rolling_corr(
         refs = ray.get(handle)
         return _rolling_corr_one_source(obs, src, refs, window)
 
-    return _run_per_source(
-        input_path, one_source, check_tokens=check_tokens, shuffle=shuffle
-    )
+    return _run_per_source(input_path, one_source, check_tokens=check_tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +538,6 @@ def dtw_distance(
     min_len: int = 8,
     max_refs: int = _MAX_REFS_DEFAULT,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """Shape similarity under time warping: band-limited DTW distance
     (Sakoe-Chiba radius ``w`` hours, L1 cost, z-normalized hourly series,
@@ -599,9 +589,7 @@ def dtw_distance(
         r = _ray.get(handle)
         return _dtw_one_source(obs, src, r, step, w, min_len)
 
-    return _run_per_source(
-        input_path, one_source, check_tokens=check_tokens, shuffle=shuffle
-    )
+    return _run_per_source(input_path, one_source, check_tokens=check_tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +736,6 @@ def granger_causality(
     min_common: int = 8,
     max_refs: int = _MAX_REFS_DEFAULT,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """Lag-1 Granger causality: for every (source, reference) pair, the F
     statistic testing whether the source's ``step``-grain token sums at
@@ -809,9 +796,7 @@ def granger_causality(
         r = _ray.get(handle)
         return _granger_one_source(obs, src, r, step, min_common)
 
-    return _run_per_source(
-        input_path, one_source, check_tokens=check_tokens, shuffle=shuffle
-    )
+    return _run_per_source(input_path, one_source, check_tokens=check_tokens)
 
 
 def _eg_one_source(
@@ -898,7 +883,6 @@ def engle_granger(
     min_common: int = 8,
     max_refs: int = _MAX_REFS_DEFAULT,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """Engle-Granger cointegration screen: for every (source, reference)
     pair, the cointegrating slope ``beta`` and the drift-free
@@ -951,9 +935,7 @@ def engle_granger(
         r = _ray.get(handle)
         return _eg_one_source(obs, src, r, step, min_common)
 
-    return _run_per_source(
-        input_path, one_source, check_tokens=check_tokens, shuffle=shuffle
-    )
+    return _run_per_source(input_path, one_source, check_tokens=check_tokens)
 
 
 def _double_ranks(v: np.ndarray) -> np.ndarray:
@@ -1027,7 +1009,6 @@ def spearman_correlation(
     min_common: int = 8,
     max_refs: int = _MAX_REFS_DEFAULT,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """Spearman rank correlation of every source's ``step``-grain token
     sums against the broadcast reference sources — the monotone-relation
@@ -1075,6 +1056,4 @@ def spearman_correlation(
         r = _ray.get(handle)
         return _spearman_one_source(obs, src, r, step, min_common)
 
-    return _run_per_source(
-        input_path, one_source, check_tokens=check_tokens, shuffle=shuffle
-    )
+    return _run_per_source(input_path, one_source, check_tokens=check_tokens)

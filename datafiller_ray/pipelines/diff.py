@@ -94,10 +94,11 @@ def snapshot_diff(
             _tag_side(1, key, value, carry, n_buckets), batch_format="pyarrow"
         )
     )
-    # the union doubles the block count and the sort exchange's cost is
-    # block-count-dominated (coalesce_partials rationale): coalescing to
+    # the union doubles the block count, and the sort exchange's cost grows
+    # with the block count (it samples, splits and merges every block), while
+    # too few blocks leave the group stage's wave imbalanced: coalescing to
     # ~2 blocks/CPU before the groupby measured 3x faster end-to-end at
-    # sf0.1 (7.3s -> 2.2s for the exchange alone) on this substrate
+    # sf0.1 (7.3s -> 2.2s for the exchange alone)
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     u = u.repartition(max(16, 2 * cpus))
 

@@ -16,17 +16,19 @@ the exchange gets one partial block per file (:func:`read_input`).
 All per-group work is vectorized NumPy on series that are tiny relative to
 the input (one row per source-minute).
 
-Two exchanges implement the shuffle: Ray Data's sort-based
-``groupby("skey").map_groups`` (:func:`rollup_tiers`, one pandas call per
-``skey`` group) and the engine's in-memory hash exchange through the object
-store, :func:`bucketed_map_groups` (:func:`rollup_tiers_bucketed`, the
-production path). Both run the one fill kernel, ``stages/fill.fill_tiers``.
-The hash exchange sizes its partition count from the cluster's CPUs and the
-partial bytes; each reduce task sorts its partition once and calls the
-kernel once per run of whole ``skey`` groups on Arrow tables — once per
-partition unless the run's projected output passes one target block — so
-the output streams in blocks of about that size, Arrow end to end, and
-nothing is written to disk.
+One exchange implements the shuffle: the engine's in-memory hash exchange
+through the object store, :func:`bucketed_map_groups`. Every step keyed on
+``skey`` alone — the tier fill of :func:`rollup_tiers` and its variants, and
+the per-source window ops of ``window.py`` / ``correlate.py`` — runs through
+it; Ray Data's sort-based groupby remains only where the key is not ``skey``
+alone (the salted paths' ``(skey, salt)`` chunks) and at the model solve,
+whose rows carry no ``bucket_ts``. The exchange sizes its partition count
+from the cluster's CPUs and the partial bytes; each reduce task sorts its
+partition once and calls the fill kernel, ``stages/fill.fill_tiers``, once
+per run of whole ``skey`` groups on Arrow tables — once per partition unless
+the run's projected output passes one target block — so the output streams
+in blocks of about that size, Arrow end to end, and nothing is written to
+disk.
 """
 
 from __future__ import annotations
@@ -190,28 +192,6 @@ def partial_aggregates(
     )
 
 
-def coalesce_partials(partials: "Dataset", input_path) -> "Dataset":
-    """Conditionally coalesce partial rows to ~4 shuffle partitions per CPU
-    before a sort-based groupby. The sort cost scales with block count, but
-    too-few partitions make the downstream group stage wave-imbalanced, so
-    4x/CPU gives the scheduler room to level load. Repartition is itself an
-    all-to-all BARRIER: when the read already lands in the band (one
-    pre-aggregated block per input file), inserting it costs ~10% of the
-    25M-row wall for nothing (measured: 200 natural blocks, skipping it
-    32.9s -> 29.4s), so only repartition when the natural block count is
-    far from the target. Shared by the flagship and the window family —
-    one tuning point (SURVEY.md §4)."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    target = max(32, 4 * cpus)
-    info = _parquet_info(input_path) if isinstance(input_path, str) else None
-    nblocks = info[1] if info is not None else None
-    if nblocks is None or nblocks < target or nblocks > 4 * target:
-        partials = partials.repartition(target)
-    return partials
-
-
 def rollup_tiers(
     input_path: "str | Dataset",
     *,
@@ -220,16 +200,33 @@ def rollup_tiers(
     retention: RetentionConfig | None = None,
     check_tokens: bool = True,
     emit: str = "rows",
+    n_buckets: int | None = None,
 ) -> "Dataset":
-    """Full rollup + gap-fill pipeline. Returns a lazy Dataset of tier rows
-    (``emit="rows"``) or Gorilla blob rows (``emit="blobs"``)."""
+    """Full rollup + gap-fill pipeline: a Dataset of tier rows
+    (``emit="rows"``) or Gorilla blob rows (``emit="blobs"``).
+
+    The partial rows move through :func:`bucketed_map_groups`, a hash
+    exchange in Ray's object store: each partial block is split by
+    ``skey % n``, then one task per partition runs ``fill_tiers`` (or, for
+    blobs, ``fill_tiers`` then ``encode_tier_chunks``) once per run of whole
+    ``skey`` groups, on Arrow tables. The exchange runs when this function
+    is called, so the returned Dataset is not lazy: its blocks are the
+    reduce outputs, already in the object store. Row order inside the
+    Dataset follows the partitions, not the sources.
+
+    ``n_buckets`` is the partition count; ``None`` derives it from the
+    cluster's CPUs and the partial bytes (see :func:`bucketed_map_groups`).
+    Nothing is written to disk, so no shared storage is needed.
+    """
     cfg = fill if fill is not None else FillConfig()
     partials = partial_aggregates(input_path, check_tokens=check_tokens)
-    partials = coalesce_partials(partials, input_path)
-    fn = make_fill_group_fn(cfg, tiers=tiers, retention=retention, emit=emit)
-    # shuffle on the int64 hash key (sorts ~3x faster than the string; the
-    # group fn sub-groups by the string for collision safety)
-    return partials.groupby("skey").map_groups(fn, batch_format="pandas")
+    fn = make_fill_group_fn(
+        cfg, tiers=tiers, retention=retention, emit=emit, batch_format="pyarrow"
+    )
+    return bucketed_map_groups(partials, fn, n_buckets=n_buckets)
+
+
+rollup_tiers_bucketed = rollup_tiers
 
 
 def rollup_tiers_inferred(
@@ -244,66 +241,33 @@ def rollup_tiers_inferred(
     of the reference's ``_infer_frequency``, ``timeseries/imputer.py:
     188-213``), then a single tier at that step is rolled up and gap-filled.
     A 5-minute stream densifies to a 5-minute grid, not the fixed 1m one."""
-    import ray
-
     from datafiller_ray.config import EngineValueError
     from datafiller_ray.stages.infer_freq import infer_step
 
     cfg = fill if fill is not None else FillConfig()
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    partials = partial_aggregates(input_path, check_tokens=check_tokens)
-    partials = partials.repartition(max(32, 4 * cpus)).materialize()
+    partials = partial_aggregates(input_path, check_tokens=check_tokens).materialize()
     step = infer_step(partials, ts_column="bucket_ts", key_column="source")
     if step % 60 != 0:
         raise EngineValueError(
             f"inferred step {step}s is finer than the 60s partial-aggregate "
             "resolution of the contract table"
         )
-    fn = make_fill_group_fn(cfg, tiers={f"{step}s": step}, retention=retention)
-    return partials.groupby("skey").map_groups(fn, batch_format="pandas")
-
-
-def rollup_tiers_bucketed(
-    input_path: "str | Dataset",
-    *,
-    fill: FillConfig | None = None,
-    tiers: tuple[str, ...] = ("1m", "1h", "1d"),
-    retention: RetentionConfig | None = None,
-    check_tokens: bool = True,
-    emit: str = "rows",
-    n_buckets: int | None = None,
-) -> "Dataset":
-    """Explicit hash-partitioned variant of :func:`rollup_tiers` — the
-    production path.
-
-    Ray Data's sort-based groupby executes its map/reduce suboperators with
-    poor parallelism on this workload (measured: 25M partial rows spend
-    ~20s near-serial in Sort at 32 CPUs). This variant moves the partial
-    rows through :func:`bucketed_map_groups`, a hash exchange in Ray's
-    object store: each partial block is split by ``skey % n``, then one
-    task per partition runs ``fill_tiers`` (or, for blobs, ``fill_tiers``
-    then ``encode_tier_chunks``) once per run of whole ``skey`` groups, on
-    Arrow tables. Output rows match :func:`rollup_tiers` exactly (pinned by
-    tests).
-
-    ``n_buckets`` is the partition count; ``None`` derives it from the
-    cluster's CPUs and the partial bytes (see :func:`bucketed_map_groups`).
-    Nothing is written to disk, so no shared storage is needed.
-    """
-    cfg = fill if fill is not None else FillConfig()
-    partials = partial_aggregates(input_path, check_tokens=check_tokens)
     fn = make_fill_group_fn(
-        cfg, tiers=tiers, retention=retention, emit=emit, batch_format="pyarrow"
+        cfg, tiers={f"{step}s": step}, retention=retention, batch_format="pyarrow"
     )
-    return bucketed_map_groups(partials, fn, n_buckets=n_buckets)
+    return bucketed_map_groups(partials, fn)
 
 
 @ray.remote
 def _split_by_skey(t, n: int):
-    """Exchange map side: one partial block -> ``n`` Arrow pieces by
-    ``skey % n``, plus the per-piece row counts as the last return."""
+    """Exchange map side: one partial block (Arrow or pandas) -> ``n``
+    Arrow pieces by ``skey % n``, plus the per-piece row counts as the last
+    return."""
     import numpy as np
 
+    from ray.data.block import BlockAccessor
+
+    t = BlockAccessor.for_block(t).to_arrow()
     part = (np.asarray(t["skey"]).view(np.uint64) % np.uint64(n)).astype(np.int64)
     counts = np.bincount(part, minlength=n)
     t = t.take(np.argsort(part, kind="stable"))
@@ -391,14 +355,13 @@ def bucketed_map_groups(
 
     ``n_buckets=None`` derives ``n = max(4 * cluster CPUs,
     ceil(partial_bytes / DataContext.target_max_block_size))``. The 4x-CPU
-    term is :func:`coalesce_partials`' rule, which leaves the reduce wave
-    room to level skewed partitions; it also cuts peak memory (measured on
-    a 4-core VM, 3M rows / 2048 sources: -15% at 4 CPUs and -19% at 1 CPU
-    against n = CPUs, for ~5% more wall at 4 CPUs; n=128 cost +50%). The
-    bytes term bounds a reduce task's input to about one target block of
-    partial rows on average, and the run rule bounds what a task holds of
-    the (larger, densified) fn output to about one more block plus one
-    group's output. A partition holding a hot key can be larger; a single
+    term leaves the reduce wave room to level skewed partitions; it also
+    cuts peak memory (measured on a 4-core VM, 3M rows / 2048 sources:
+    -15% at 4 CPUs and -19% at 1 CPU against n = CPUs, for ~5% more wall
+    at 4 CPUs; n=128 cost +50%). The bytes term bounds a reduce task's
+    input to about one target block of partial rows on average, and the
+    run rule bounds what a task holds of the (larger, densified) fn output
+    to about one more block plus one group's output. A partition holding a hot key can be larger; a single
     series beyond worker memory is the salted path's job (choose_fill_path
     / rollup_tiers_auto).
 
@@ -582,8 +545,10 @@ def _salted_model_1m(
     pieces = [rows_1m] if "1m" in tiers else []
     coarse = tuple(t for t in tiers if t != "1m")
     if coarse:
-        fn = make_fill_group_fn(cfg, tiers=coarse, retention=retention)
-        pieces.append(partials.groupby("skey").map_groups(fn, batch_format="pandas"))
+        fn = make_fill_group_fn(
+            cfg, tiers=coarse, retention=retention, batch_format="pyarrow"
+        )
+        pieces.append(bucketed_map_groups(partials, fn))
     out = pieces[0]
     for p in pieces[1:]:
         out = out.union(p)
@@ -677,10 +642,10 @@ def rollup_tiers_salted(
 
     coarse_tiers = tuple(t for t in tiers if t != "1m")
     if coarse_tiers:
-        fn = make_fill_group_fn(cfg, tiers=coarse_tiers, retention=retention)
-        pieces.append(
-            partials.groupby("skey").map_groups(fn, batch_format="pandas")
+        fn = make_fill_group_fn(
+            cfg, tiers=coarse_tiers, retention=retention, batch_format="pyarrow"
         )
+        pieces.append(bucketed_map_groups(partials, fn))
     out = pieces[0]
     for p in pieces[1:]:
         out = out.union(p)
@@ -739,8 +704,10 @@ def rollup_tiers_auto(
             input_path, fill=cfg, tiers=tiers, retention=retention,
             check_tokens=check_tokens, salt_span=salt_span, _partials=partials,
         )
-    fn = make_fill_group_fn(cfg, tiers=tiers, retention=retention)
-    return partials.groupby("skey").map_groups(fn, batch_format="pandas")
+    fn = make_fill_group_fn(
+        cfg, tiers=tiers, retention=retention, batch_format="pyarrow"
+    )
+    return bucketed_map_groups(partials, fn)
 
 
 def write_tiers(tier_ds: "Dataset", out_dir: str) -> None:

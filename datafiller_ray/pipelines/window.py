@@ -8,8 +8,8 @@ source, per-source top-k buckets, and a rolling-mean anomaly filter.
 Physical plan: identical single-exchange shape as the flagship rollup —
 
     read (columns pruned) -> map_batches(partial agg)   [token payload never moves]
-      -> groupby(skey)                                  [THE shuffle — partial rows only]
-      -> map_groups(combine -> vectorized window pass)
+      -> bucketed_map_groups: hash exchange on skey     [THE shuffle — partial rows only]
+      -> per (skey, source) series: combine -> vectorized window pass
 
 Window semantics are ROWS BETWEEN (window-1) PRECEDING AND CURRENT ROW
 over the OBSERVED (non-empty) 1m buckets of each source, ordered by
@@ -139,26 +139,13 @@ def _topk_one_source(obs: pd.DataFrame, source: str, k: int) -> pd.DataFrame:
     )
 
 
-def _shuffled_partials(input_path, *, check_tokens: bool = False):
-    """Partial-aggregate + conditional coalesce, the rollup_tiers shuffle
-    prologue (rollup.coalesce_partials holds the block-count rationale —
-    one shared tuning point, not a copy)."""
-    from datafiller_ray.pipelines.rollup import (
-        coalesce_partials,
-        partial_aggregates,
-    )
-
-    partials = partial_aggregates(input_path, check_tokens=check_tokens)
-    return coalesce_partials(partials, input_path)
-
-
 def _per_source_group_fn(one_source):
-    """Wrap a per-source frame fn for either exchange. The group fn takes
-    one or more whole ``skey`` groups of partial rows — a pandas frame from
-    ``map_groups`` or an Arrow table from ``bucketed_map_groups`` — and
-    hands each (skey, source) series, combined to one row per minute, to
-    ``one_source`` in (skey, source) order, so a hash collision stays two
-    series (as in stages/fill.py ``fill_tiers``)."""
+    """Wrap a per-source frame fn for the exchange. The group fn takes one
+    or more whole ``skey`` groups of partial rows (an Arrow table from
+    ``bucketed_map_groups``, or a pandas frame) and hands each (skey,
+    source) series, combined to one row per minute, to ``one_source`` in
+    (skey, source) order, so a hash collision stays two series (as in
+    stages/fill.py ``fill_tiers``)."""
     from datafiller_ray.stages.fill import reduce_sorted, segment_starts, sorted_codes
 
     def group_fn(g) -> pd.DataFrame:
@@ -185,32 +172,24 @@ def _per_source_group_fn(one_source):
     return group_fn
 
 
-def _run_per_source(
-    input_path, one_source, *, check_tokens: bool, shuffle: str = "sort"
-):
-    """Dispatch a per-source frame fn through either exchange: Ray Data's
-    sort-based groupby (``shuffle="sort"``, fine up to ~10M partial rows)
-    or the engine's in-memory hash exchange through Ray's object store
-    (``shuffle="bucketed"``, the production path — same key as the flagship
-    rollup, see rollup.bucketed_map_groups). The hash exchange derives its
-    partition count from the cluster's CPUs and the partial bytes, so a
-    reduce task reads about one target block on average, and it streams
-    its output in blocks of that size; it writes nothing to disk and needs
-    no shared storage."""
-    from datafiller_ray.config import EngineValueError
+def _run_per_source(input_path, one_source, *, check_tokens: bool):
+    """Run a per-source frame fn over the partial rows through the engine's
+    hash exchange (rollup.bucketed_map_groups — the flagship rollup's key
+    and exchange). The exchange derives its partition count from the
+    cluster's CPUs and the partial bytes, so a reduce task reads about one
+    target block on average, and it streams its output in blocks of that
+    size; it writes nothing to disk and needs no shared storage. It runs
+    when called, so every op built on this returns a Dataset whose blocks
+    already sit in the object store, not a lazy one."""
     from datafiller_ray.pipelines.rollup import (
         bucketed_map_groups,
         partial_aggregates,
     )
 
-    fn = _per_source_group_fn(one_source)
-    if shuffle == "bucketed":
-        partials = partial_aggregates(input_path, check_tokens=check_tokens)
-        return bucketed_map_groups(partials, fn)
-    if shuffle != "sort":
-        raise EngineValueError(f"unknown shuffle {shuffle!r}")
-    partials = _shuffled_partials(input_path, check_tokens=check_tokens)
-    return partials.groupby("skey").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(
+        partial_aggregates(input_path, check_tokens=check_tokens),
+        _per_source_group_fn(one_source),
+    )
 
 
 def rolling_aggregates(
@@ -218,7 +197,6 @@ def rolling_aggregates(
     *,
     window: int = 60,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """Rolling count/sum/min/max/mean of per-minute token sums over the
     last ``window`` observed 1m buckets of each source."""
@@ -230,13 +208,10 @@ def rolling_aggregates(
         input_path,
         lambda obs, src: _rolling_one_source(obs, src, window),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
-def topk_buckets(
-    input_path, *, k: int = 5, check_tokens: bool = False, shuffle: str = "sort"
-) -> "Dataset":
+def topk_buckets(input_path, *, k: int = 5, check_tokens: bool = False) -> "Dataset":
     """Per-source top-k busiest minutes (sum_tok DESC, bucket_ts ASC),
     with dense 1..k rank — deterministic under ties."""
     from datafiller_ray.config import EngineValueError
@@ -247,7 +222,6 @@ def topk_buckets(
         input_path,
         lambda obs, src: _topk_one_source(obs, src, k),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -283,17 +257,13 @@ def _deltas_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def bucket_deltas(
-    input_path, *, check_tokens: bool = False, shuffle: str = "sort"
-) -> "Dataset":
+def bucket_deltas(input_path, *, check_tokens: bool = False) -> "Dataset":
     """Per-source delta + rate of change between consecutive OBSERVED 1m
     buckets (LAG semantics; gaps show up as dt_sec > 60, the
     counter-rate-over-gap formulation). The first bucket of each source has
     no predecessor and is omitted. ``rate_tok_s`` divides once and rounds
     half-up at 6 decimals, matching the SQL oracle bit-for-bit."""
-    return _run_per_source(
-        input_path, _deltas_one_source, check_tokens=check_tokens, shuffle=shuffle
-    )
+    return _run_per_source(input_path, _deltas_one_source, check_tokens=check_tokens)
 
 
 def _profile_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
@@ -318,9 +288,7 @@ def _profile_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def hourly_profile(
-    input_path, *, check_tokens: bool = False, shuffle: str = "sort"
-) -> "Dataset":
+def hourly_profile(input_path, *, check_tokens: bool = False) -> "Dataset":
     """Per-source hour-of-day seasonal profile: count/sum/mean of per-minute
     token sums grouped by UTC hour 0-23 over the source's whole span — the
     calendar-seasonality baseline a forecasting/anomaly layer subtracts.
@@ -328,9 +296,7 @@ def hourly_profile(
     (the same minute's partials can arrive from several input blocks), so
     this rides the per-source exchange rather than a naive additive
     groupby; the per-source pass is a 24-bin bincount."""
-    return _run_per_source(
-        input_path, _profile_one_source, check_tokens=check_tokens, shuffle=shuffle
-    )
+    return _run_per_source(input_path, _profile_one_source, check_tokens=check_tokens)
 
 
 def _ewma_one_source(obs: pd.DataFrame, source: str, alpha: float) -> pd.DataFrame:
@@ -355,7 +321,6 @@ def ewma_smooth(
     *,
     alpha: float = 0.25,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """Exponentially-weighted moving average of per-minute token sums over
     each source's OBSERVED 1m buckets (unadjusted recursion
@@ -370,7 +335,6 @@ def ewma_smooth(
         input_path,
         lambda obs, src: _ewma_one_source(obs, src, alpha),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -430,7 +394,6 @@ def lttb_downsample(
     *,
     n_out: int = 50,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """Visual downsample: per source, select ``n_out`` representative
     observed 1m buckets with LTTB — the downsample-for-plotting complement
@@ -445,7 +408,6 @@ def lttb_downsample(
         input_path,
         lambda obs, src: _lttb_one_source(obs, src, n_out),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -455,7 +417,6 @@ def seasonal_anomalies(
     factor: float = 1.5,
     min_buckets: int = 5,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """Buckets whose token sum exceeds ``factor`` x their source's
     hour-of-day profile mean (hours with >= ``min_buckets`` observed
@@ -489,9 +450,7 @@ def seasonal_anomalies(
             )
         )
 
-    return _run_per_source(
-        input_path, one_source, check_tokens=check_tokens, shuffle=shuffle
-    )
+    return _run_per_source(input_path, one_source, check_tokens=check_tokens)
 
 
 def rolling_anomalies(
@@ -501,7 +460,6 @@ def rolling_anomalies(
     factor: float = 2.0,
     min_window: int = 10,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """Buckets whose token sum exceeds ``factor`` x the rolling mean of the
     preceding ``window`` buckets (window populated with >= ``min_window``
@@ -522,9 +480,7 @@ def rolling_anomalies(
         )
         return _string_typed_if_empty(out.loc[keep].reset_index(drop=True))
 
-    return _run_per_source(
-        input_path, one_source, check_tokens=check_tokens, shuffle=shuffle
-    )
+    return _run_per_source(input_path, one_source, check_tokens=check_tokens)
 
 
 def events_rolling_counts(
@@ -646,7 +602,6 @@ def cusum_changepoints(
     threshold: float = 5.0,
     min_points: int = 20,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """Two-sided CUSUM level-shift detection over each source's observed 1m
     token sums.
@@ -677,7 +632,6 @@ def cusum_changepoints(
             obs, src, drift=drift, threshold=threshold, min_points=min_points
         ),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -711,7 +665,7 @@ def _gap_stats_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def gap_stats(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
+def gap_stats(input_path, *, check_tokens: bool = False):
     """Per-source missing-bucket profile over the observed 1m grid: number
     of maximal missing runs (gaps), total missing minutes, longest run and
     mean run length — the operational "how gappy is this stream" summary
@@ -721,9 +675,7 @@ def gap_stats(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
     the engine-wide floor-half-up 6-decimal absorber. Same single-exchange
     shape as the rest of the window family.
     """
-    return _run_per_source(
-        input_path, _gap_stats_one_source, check_tokens=check_tokens, shuffle=shuffle
-    )
+    return _run_per_source(input_path, _gap_stats_one_source, check_tokens=check_tokens)
 
 
 def _completeness_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
@@ -751,7 +703,7 @@ def _completeness_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def completeness_report(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
+def completeness_report(input_path, *, check_tokens: bool = False):
     """Per-source x 1h data-completeness SLO report over the 1m grid: for
     every hour of each source's observed span (DENSE — hours with zero
     observed minutes appear with ``observed_minutes = 0``), the number of
@@ -771,7 +723,6 @@ def completeness_report(input_path, *, check_tokens: bool = False, shuffle: str 
         input_path,
         _completeness_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -810,7 +761,7 @@ def _psi_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def psi_drift(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
+def psi_drift(input_path, *, check_tokens: bool = False):
     """Population-stability-index drift per source: the distribution of
     per-minute token sums in the source's EARLY half (bucket_ts at or
     below the midpoint of its observed span) vs its LATE half, over 10
@@ -821,9 +772,7 @@ def psi_drift(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
     counts are integer-exact; PSI is one pinned float expression, so the
     DuckDB oracle matches bit-for-bit after the engine-wide rounding.
     """
-    return _run_per_source(
-        input_path, _psi_one_source, check_tokens=check_tokens, shuffle=shuffle
-    )
+    return _run_per_source(input_path, _psi_one_source, check_tokens=check_tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +820,6 @@ def acf(
     lags: "tuple[int, ...]" = (1, 2, 3),
     min_pairs: int = 3,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source autocorrelation of the observed 1m token sums at the
     given ROW lags (the series is the observed-bucket sequence in time
@@ -896,7 +844,6 @@ def acf(
         input_path,
         lambda obs, src: _acf_one_source(obs, src, lags_t, min_pairs),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -969,7 +916,6 @@ def ljung_box(
     lags: "tuple[int, ...]" = (1, 2, 3),
     min_pairs: int = 3,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source Ljung-Box portmanteau statistic over the observed 1m
     token sums: Q = n(n+2) * sum_k r_k^2 / (n-k) with the same row-lag
@@ -991,7 +937,6 @@ def ljung_box(
         input_path,
         lambda obs, src: _ljung_box_one_source(obs, src, lags_t, min_pairs),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -1041,7 +986,6 @@ def pacf(
     *,
     min_pairs: int = 3,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source partial autocorrelation at lags 1..3 of the observed 1m
     token sums, by the Durbin-Levinson recursion unrolled to closed form
@@ -1064,7 +1008,6 @@ def pacf(
         input_path,
         lambda obs, src: _pacf_one_source(obs, src, min_pairs),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -1119,7 +1062,6 @@ def mad_outliers(
     *,
     c: float = 3.0,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Robust per-source outlier detection: flag observed 1m buckets where
     ``|sum_tok - median| > c * MAD`` (median absolute deviation), the
@@ -1140,7 +1082,6 @@ def mad_outliers(
         input_path,
         lambda obs, src: _mad_one_source(obs, src, c),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -1179,7 +1120,6 @@ def rolling_median(
     *,
     window: int = 7,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Rolling MEDIAN of per-minute token sums over the last ``window``
     observed 1m buckets per source — the order-statistic sibling of
@@ -1200,7 +1140,6 @@ def rolling_median(
         input_path,
         lambda obs, src: _rolling_median_one_source(obs, src, window),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -1256,7 +1195,6 @@ def source_trend(
     *,
     step: int = 60,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source OLS trend of the observed 1m token sums against the grid
     index ``(bucket_ts - first_ts) / step``: slope (tokens per bucket),
@@ -1279,7 +1217,6 @@ def source_trend(
         input_path,
         lambda obs, src: _trend_one_source(obs, src, step),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -1372,7 +1309,6 @@ def haar_energy(
     *,
     levels: int = 3,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source Haar wavelet energy decomposition of the observed 1m
     token sums: the series (truncated to its largest power-of-two prefix)
@@ -1395,11 +1331,10 @@ def haar_energy(
         input_path,
         lambda obs, src: _haar_one_source(obs, src, levels),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
-def adf_stat(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
+def adf_stat(input_path, *, check_tokens: bool = False):
     """Per-source Dickey-Fuller unit-root statistic over the observed 1m
     token sums: the t-statistic of gamma in ``diff(y)_t = alpha +
     gamma * y_{t-1}`` (drift, no lagged-difference terms — the DF(0)
@@ -1421,7 +1356,6 @@ def adf_stat(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
         input_path,
         lambda obs, src: _adf_one_source(obs, src),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -1462,7 +1396,6 @@ def winsorize(
     q_lo: float = 0.25,
     q_hi: float = 0.75,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source winsorization of the observed 1m token sums: clip each
     bucket's value into the ``[quantile(q_lo), quantile(q_hi)]`` band — the
@@ -1491,7 +1424,6 @@ def winsorize(
         input_path,
         lambda obs, src: _winsorize_one_source(obs, src, q_lo, q_hi),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -1527,7 +1459,6 @@ def ntile_volume(
     *,
     n_tiles: int = 4,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source NTILE bucketing of observed 1m buckets by token volume:
     rank each bucket within its source (value asc, bucket_ts asc for
@@ -1543,7 +1474,6 @@ def ntile_volume(
         input_path,
         lambda obs, src: _ntile_one_source(obs, src, n_tiles),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -1584,7 +1514,6 @@ def holt_smooth(
     *,
     alpha: float = 0.25,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """Brown double-exponential (linear/Holt-equivalent) smoothing of
     per-minute token sums over each source's OBSERVED 1m buckets:
@@ -1602,7 +1531,6 @@ def holt_smooth(
         input_path,
         lambda obs, src: _holt_one_source(obs, src, alpha),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -1662,7 +1590,6 @@ def stl_decompose(
     *,
     trend_window: int = 13,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """STL-lite trend/seasonal/residual decomposition of each source's
     observed 1m token sums, integer micro-units end to end (hash-exact,
@@ -1693,7 +1620,6 @@ def stl_decompose(
         input_path,
         lambda obs, src: _stl_one_source(obs, src, half),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -1743,7 +1669,6 @@ def m4_downsample(
     *,
     px_seconds: int = 3600,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """M4 min/max-preserving visual downsample (Jugel et al., VLDB 2014:
     a pixel column is exactly reproduced by the first/last/min/max of the
@@ -1759,7 +1684,6 @@ def m4_downsample(
         input_path,
         lambda obs, src: _m4_one_source(obs, src, px_seconds),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -1803,7 +1727,6 @@ def dominant_period(
     max_lag: int = 24,
     min_pairs: int = 3,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source dominant seasonality period: the ROW lag in [2, max_lag]
     maximizing the exact five-moment ACF (acf()'s integer formulation; the
@@ -1821,7 +1744,6 @@ def dominant_period(
         input_path,
         lambda obs, src: _dominant_period_one_source(obs, src, max_lag, min_pairs),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -1881,7 +1803,6 @@ def anomaly_intervals(
     factor: float = 2.0,
     min_window: int = 10,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ) -> "Dataset":
     """Contiguous anomaly INTERVALS per source: the rolling_anomalies flag
     rule (sum > factor x the unrounded trailing-``window`` mean, window
@@ -1904,7 +1825,6 @@ def anomaly_intervals(
             obs, src, window, factor, min_window
         ),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -1924,9 +1844,7 @@ def _staleness_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def staleness_report(
-    input_path, *, check_tokens: bool = False, shuffle: str = "sort"
-):
+def staleness_report(input_path, *, check_tokens: bool = False):
     """Per-source feed freshness: last observed 1m bucket, observed-bucket
     and document counts, and the lag (seconds) behind the freshest source
     — the "which feeds went quiet" operational check run before blaming
@@ -1937,7 +1855,7 @@ def staleness_report(
     final single-block pass (never a second shuffle). Integer-exact."""
     per_src = _run_per_source(
         input_path, _staleness_one_source,
-        check_tokens=check_tokens, shuffle=shuffle,
+        check_tokens=check_tokens,
     )
 
     def add_lag(df: pd.DataFrame) -> pd.DataFrame:
@@ -2013,7 +1931,6 @@ def ohlc_candles(
     *,
     step: int = 3600,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """OHLC candle downsample of the per-minute token-sum series: per
     (source, ``step``-second bucket) the FIRST and LAST observed minute's
@@ -2032,7 +1949,6 @@ def ohlc_candles(
         input_path,
         lambda obs, src: _ohlc_one_source(obs, src, step),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -2057,7 +1973,6 @@ def coverage_islands(
     input_path,
     *,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Gaps-and-islands interval merge: collapse each source's observed 1m
     buckets into maximal CONTIGUOUS runs (consecutive minutes), one row per
@@ -2071,7 +1986,6 @@ def coverage_islands(
         input_path,
         _islands_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -2104,7 +2018,6 @@ def dow_hour_profile(
     input_path,
     *,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Weekly seasonality matrix: per (source, day-of-week, hour-of-day)
     observed-minute count, exact token sum, and round6 mean — the calendar
@@ -2114,7 +2027,6 @@ def dow_hour_profile(
         input_path,
         _dow_hour_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -2198,7 +2110,6 @@ def cross_section_quantiles(
     *,
     step: int = 3600,
     check_tokens: bool = False,
-    shuffle: str = "sort",
     n_buckets: int = 64,
 ):
     """Cross-SECTIONAL quantiles: per ``step``-second bucket, the p10/p50/p90
@@ -2224,9 +2135,7 @@ def cross_section_quantiles(
         cs = np.concatenate([np.zeros(1, np.int64), np.cumsum(s)])
         return pd.DataFrame({"bucket_ts": b[starts], "tok": cs[ends] - cs[starts]})
 
-    tier = _run_per_source(
-        input_path, step_sums, check_tokens=check_tokens, shuffle=shuffle
-    )
+    tier = _run_per_source(input_path, step_sums, check_tokens=check_tokens)
 
     def add_gk(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -2295,7 +2204,6 @@ def value_runs(
     *,
     level_width: int = 64,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Run-length view of each source's per-minute token-sum series:
     maximal CONTIGUOUS runs of equal quantized level (``sum_tok //
@@ -2313,7 +2221,6 @@ def value_runs(
         input_path,
         lambda obs, src: _value_runs_one_source(obs, src, level_width),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -2323,7 +2230,6 @@ def topk_movers(
     step: int = 86400,
     k: int = 20,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Global top-k (source, bucket) movers by absolute bucket-over-bucket
     change of the ``step``-grain token sum — the "what shifted most
@@ -2364,9 +2270,7 @@ def topk_movers(
         )
         return _string_typed_if_empty(out)
 
-    per_src = _run_per_source(
-        input_path, deltas, check_tokens=check_tokens, shuffle=shuffle
-    )
+    per_src = _run_per_source(input_path, deltas, check_tokens=check_tokens)
     prune = topk_block_fn(k, "delta_abs", ["source", "bucket_ts"])
     pruned = per_src.map_batches(prune, batch_format="pyarrow")
     final = pruned.repartition(1).map_batches(prune, batch_format="pyarrow")
@@ -2391,7 +2295,6 @@ def seasonal_naive_mase(
     *,
     season: int = 60,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source MASE (mean absolute scaled error, Hyndman & Koehler) of
     the seasonal-naive forecast ``y_hat_t = y_{t-season}`` over the
@@ -2416,7 +2319,6 @@ def seasonal_naive_mase(
         input_path,
         lambda obs, src: _mase_one_source(obs, src, season),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -2438,9 +2340,7 @@ def _records_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     return _string_typed_if_empty(out)
 
 
-def running_records(
-    input_path, *, check_tokens: bool = False, shuffle: str = "sort"
-):
+def running_records(input_path, *, check_tokens: bool = False):
     """Record-high census: per source, the observed 1m buckets whose token
     sum STRICTLY exceeds every preceding bucket's sum (the running-max
     record events), numbered 1..n in time order — the "when did this feed
@@ -2452,7 +2352,6 @@ def running_records(
         input_path,
         _records_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -2496,9 +2395,7 @@ def _burstiness_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def burstiness(
-    input_path, *, check_tokens: bool = False, shuffle: str = "sort"
-):
+def burstiness(input_path, *, check_tokens: bool = False):
     """Per-source burstiness summary of the per-minute token-sum series:
     population mean/variance plus the Fano factor (variance/mean, the
     index of dispersion — 1 for a Poisson stream, >1 bursty, <1 regular)
@@ -2513,7 +2410,6 @@ def burstiness(
         input_path,
         _burstiness_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -2541,7 +2437,7 @@ def _streaks_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def streaks(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
+def streaks(input_path, *, check_tokens: bool = False):
     """Per-source longest monotone streak census: the maximum number of
     CONSECUTIVE 1m buckets with strictly increasing (and, separately,
     strictly decreasing) token sums — the ramp-detection summary (is this
@@ -2554,7 +2450,6 @@ def streaks(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
         input_path,
         _streaks_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -2604,7 +2499,6 @@ def theilsen_trend(
     *,
     step: int = 3600,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source Theil–Sen robust trend: the median of all pairwise
     slopes ``(y_j - y_i) / (t_j - t_i)`` over the ``step``-grain token
@@ -2625,7 +2519,6 @@ def theilsen_trend(
         input_path,
         lambda obs, src: _theilsen_one_source(obs, src, step),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -2671,7 +2564,6 @@ def mann_kendall(
     *,
     step: int = 3600,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source Mann–Kendall trend test over the ``step``-grain token
     sums: ``S = sum over i<j of sign(y_j - y_i)`` and Kendall's
@@ -2690,7 +2582,6 @@ def mann_kendall(
         input_path,
         lambda obs, src: _mann_kendall_one_source(obs, src, step),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -2769,7 +2660,6 @@ def holt_winters(
     beta: float = 0.1,
     gamma: float = 0.3,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Holt–Winters ADDITIVE triple exponential smoothing per source over
     the observed ``step``-grain token sums (ROW seasonal indexing, period
@@ -2803,7 +2693,6 @@ def holt_winters(
             obs, src, step, season, alpha, beta, gamma
         ),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -2872,7 +2761,6 @@ def holt_damped(
     beta: float = 0.1,
     phi: float = 0.9,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Damped-trend Holt (Gardner–McKenzie) smoothing per source over the
     observed ``step``-grain token sums — the member of the exponential
@@ -2909,7 +2797,6 @@ def holt_damped(
             obs, src, step, alpha, beta, phi
         ),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -2955,7 +2842,6 @@ def trimmed_mean(
     q_lo: float = 0.25,
     q_hi: float = 0.75,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source interquartile (trimmed) mean of the observed 1m token
     sums: the mean over ONLY the buckets inside the ``[quantile(q_lo),
@@ -2979,7 +2865,6 @@ def trimmed_mean(
         input_path,
         lambda obs, src: _trimmed_mean_one_source(obs, src, q_lo, q_hi),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -2988,7 +2873,6 @@ def source_share(
     *,
     step: int = 86400,
     check_tokens: bool = False,
-    shuffle: str = "sort",
     n_buckets: int = 64,
 ):
     """Share-of-total per (source, ``step`` bucket): each source's token
@@ -3024,9 +2908,7 @@ def source_share(
         )
         return _string_typed_if_empty(out)
 
-    tier = _run_per_source(
-        input_path, step_sums, check_tokens=check_tokens, shuffle=shuffle
-    )
+    tier = _run_per_source(input_path, step_sums, check_tokens=check_tokens)
 
     def add_gk(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -3110,9 +2992,7 @@ def _seasonality_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def seasonality_strength(
-    input_path, *, check_tokens: bool = False, shuffle: str = "sort"
-):
+def seasonality_strength(input_path, *, check_tokens: bool = False):
     """Per-source daily-seasonality strength: the fraction of the 1m
     token-sum variance explained by the hour-of-day profile
     (``1 - SS_within_hod / SS_total``, the eta-squared of the hod
@@ -3127,7 +3007,6 @@ def seasonality_strength(
         input_path,
         _seasonality_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -3162,7 +3041,7 @@ def _drawdown_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def max_drawdown(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
+def max_drawdown(input_path, *, check_tokens: bool = False):
     """Per-source maximum drawdown of the 1m token-sum series: the largest
     running-peak-to-current decline over observed buckets in time order
     (the "how far below its historical best did this feed fall" health
@@ -3173,7 +3052,6 @@ def max_drawdown(input_path, *, check_tokens: bool = False, shuffle: str = "sort
         input_path,
         _drawdown_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -3246,7 +3124,7 @@ def _ar2_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def ar2_fit(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
+def ar2_fit(input_path, *, check_tokens: bool = False):
     """Per-source AR(2) fit of the 1m token sums by OLS over contiguous
     observed triples (both gaps exactly 60 s; gaps break triples rather
     than bridging them): y_t = c0 + a1*y_{t-1} + a2*y_{t-2}. The integer
@@ -3260,7 +3138,6 @@ def ar2_fit(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
         input_path,
         _ar2_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -3313,9 +3190,7 @@ def _perm_entropy_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def permutation_entropy(
-    input_path, *, check_tokens: bool = False, shuffle: str = "sort"
-):
+def permutation_entropy(input_path, *, check_tokens: bool = False):
     """Per-source normalized permutation entropy (Bandt–Pompe, order 3)
     of the 1m token sums: the Shannon entropy of the ordinal-pattern
     census over contiguous observed triples, normalized by ln(3!) —
@@ -3328,7 +3203,6 @@ def permutation_entropy(
         input_path,
         _perm_entropy_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -3374,9 +3248,7 @@ def _variance_ratio_one_source(
     )
 
 
-def variance_ratio(
-    input_path, *, q: int = 4, check_tokens: bool = False, shuffle: str = "sort"
-):
+def variance_ratio(input_path, *, q: int = 4, check_tokens: bool = False):
     """Per-source Lo–MacKinlay variance ratio VR(q) of the 1m token-sum
     increments: population variance of q-step changes over q times the
     variance of 1-step changes, both restricted to contiguous observed
@@ -3395,7 +3267,6 @@ def variance_ratio(
         input_path,
         lambda obs, src: _variance_ratio_one_source(obs, src, q),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -3449,7 +3320,6 @@ def croston_forecast(
     alpha: float = 0.1,
     min_demands: int = 3,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source Croston intermittent-demand forecast — the forecaster
     built for EXACTLY the sparse feeds where EWMA/Holt over the dense
@@ -3466,7 +3336,6 @@ def croston_forecast(
         input_path,
         lambda obs, src: _croston_one_source(obs, src, alpha, min_demands),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -3511,7 +3380,6 @@ def forecast_interval(
     level: float = 0.9,
     min_pairs: int = 10,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source split-conformal interval width for the seasonal-naive
     forecast: the absolute residuals |y_t - y_{t-season rows}| of the
@@ -3537,7 +3405,6 @@ def forecast_interval(
             obs, src, season, level, min_pairs
         ),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -3610,7 +3477,6 @@ def isotonic_fit(
     *,
     step: int = 3600,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source non-decreasing isotonic regression of the hourly token
     sums via pool-adjacent-violators — the monotone-trend fit that
@@ -3629,7 +3495,6 @@ def isotonic_fit(
         input_path,
         lambda obs, src: _isotonic_one_source(obs, src, step),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -3744,7 +3609,6 @@ def binseg_changepoints(
     k: int = 3,
     min_size: int = 2,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source top-k level-shift changepoints by exact-arithmetic
     binary segmentation over the hourly token sums — the multi-shift
@@ -3765,7 +3629,6 @@ def binseg_changepoints(
         input_path,
         lambda obs, src: _binseg_one_source(obs, src, step, k, min_size),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -3846,7 +3709,6 @@ def kalman_fill(
     *,
     lam: float = 0.5,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source local-level Kalman filter + RTS smoother gap fill over
     the dense 1m grid — see :func:`_kalman_one_source`. ``lam`` is the
@@ -3861,7 +3723,6 @@ def kalman_fill(
         input_path,
         lambda obs, src: _kalman_one_source(obs, src, lam),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -3923,9 +3784,7 @@ def _scaling_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def scaling_exponent(
-    input_path, *, check_tokens: bool = False, shuffle: str = "sort"
-):
+def scaling_exponent(input_path, *, check_tokens: bool = False):
     """Per-source Hurst-style diffusion scaling exponent — see
     :func:`_scaling_one_source`. The aggregated-variance complement of
     ``variance_ratio``: VR(q) tests one horizon pair, this fits the whole
@@ -3934,7 +3793,6 @@ def scaling_exponent(
         input_path,
         _scaling_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -3982,7 +3840,7 @@ def _burst_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def busiest_burst(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
+def busiest_burst(input_path, *, check_tokens: bool = False):
     """Per-source busiest burst: the contiguous run of observed 1m buckets
     maximizing total token activity ABOVE the source's own mean — the
     max-sum subarray (Kadane) of the mean-centered series, computed on
@@ -3996,7 +3854,6 @@ def busiest_burst(input_path, *, check_tokens: bool = False, shuffle: str = "sor
         input_path,
         _burst_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -4062,7 +3919,7 @@ def _harmonic_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def harmonic_24h(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
+def harmonic_24h(input_path, *, check_tokens: bool = False):
     """Per-source least-squares fit of the single 24-hour harmonic
     ``y ~ a + b*cos(theta) + c*sin(theta)`` with ``theta = 2*pi *
     (ts mod 86400)/86400`` over observed 1m buckets: reports the
@@ -4079,7 +3936,6 @@ def harmonic_24h(input_path, *, check_tokens: bool = False, shuffle: str = "sort
         input_path,
         _harmonic_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -4132,7 +3988,7 @@ def _sax_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def sax_motifs(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
+def sax_motifs(input_path, *, check_tokens: bool = False):
     """Per-source SAX-style motif census: each observed 1m bucket is
     symbolized into its within-source activity quartile (rank-based
     NTILE(4) bucketing — exact integers, no breakpoint floats, ties
@@ -4145,7 +4001,6 @@ def sax_motifs(input_path, *, check_tokens: bool = False, shuffle: str = "sort")
         input_path,
         _sax_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -4196,7 +4051,7 @@ def _fused_profile_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
 _PROFILE_INT = {"drawdown_tok", "trough_ts", "n_triples", "burst_dev"}
 
 
-def source_profile(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
+def source_profile(input_path, *, check_tokens: bool = False):
     """Fused per-source statistical profile: dispersion (mean/var/Fano/CV),
     max drawdown, hour-of-day seasonality strength, permutation entropy,
     AR(2) coefficients, variance ratio VR(4), the 24h-harmonic fit, and
@@ -4211,7 +4066,6 @@ def source_profile(input_path, *, check_tokens: bool = False, shuffle: str = "so
         input_path,
         _fused_profile_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -4257,7 +4111,7 @@ def _runs_test_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def runs_test(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
+def runs_test(input_path, *, check_tokens: bool = False):
     """Per-source Wald-Wolfowitz runs test of the 1m token-sum series
     against its own median (the "is this feed's level sequence random or
     streaky" diagnostic): median-valued buckets drop, the above/below
@@ -4270,7 +4124,6 @@ def runs_test(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
         input_path,
         _runs_test_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -4301,9 +4154,7 @@ def _turning_points_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def turning_points(
-    input_path, *, check_tokens: bool = False, shuffle: str = "sort"
-):
+def turning_points(input_path, *, check_tokens: bool = False):
     """Per-source turning-points randomness test over observed 1m token
     sums: count strict local extrema (``(y_t - y_{t-1})(y_{t+1} - y_t) <
     0`` — exact integer products), z-scored against the i.i.d.-sequence
@@ -4314,7 +4165,6 @@ def turning_points(
         input_path,
         _turning_points_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -4352,7 +4202,7 @@ def _cox_stuart_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:
     )
 
 
-def cox_stuart(input_path, *, check_tokens: bool = False, shuffle: str = "sort"):
+def cox_stuart(input_path, *, check_tokens: bool = False):
     """Per-source Cox-Stuart trend test over observed 1m token sums: pair
     each first-half bucket with its second-half counterpart (odd series
     drop the middle), count strictly-positive / strictly-negative
@@ -4364,7 +4214,6 @@ def cox_stuart(input_path, *, check_tokens: bool = False, shuffle: str = "sort")
         input_path,
         _cox_stuart_one_source,
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -4413,7 +4262,6 @@ def page_hinkley(
     delta: float = 0.0,
     lam: float = 1000.0,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source Page-Hinkley upward-drift detector over observed 1m
     token sums: the sequential-recursion drift statistic ``m_t = sum(y_i
@@ -4432,7 +4280,6 @@ def page_hinkley(
         input_path,
         lambda obs, src: _page_hinkley_one_source(obs, src, delta, lam),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -4496,7 +4343,6 @@ def lomb_scargle(
     *,
     periods: "tuple[int, ...]" = (3600, 21600, 86400, 604800),
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source Lomb-Scargle periodogram over the OBSERVED (gappy,
     unevenly spaced) 1m token sums — the spectral tool built for exactly
@@ -4526,7 +4372,6 @@ def lomb_scargle(
         input_path,
         lambda obs, src: _lomb_one_source(obs, src, periods),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -4653,7 +4498,6 @@ def matrix_profile(
     *,
     w: int = 24,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source matrix profile (Yeh et al. 2016, STOMP-ordered exact
     computation) over the linear-filled dense hourly token-sum grid: the
@@ -4683,7 +4527,6 @@ def matrix_profile(
         input_path,
         lambda obs, src: _matprof_one_source(obs, src, w),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -4754,7 +4597,6 @@ def spectral_entropy(
     *,
     max_k: int = 12,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source normalized spectral entropy of the hourly token-sum
     series: DFT power at harmonics ``k = 1..min(max_k, (T-1)//2)`` over
@@ -4781,7 +4623,6 @@ def spectral_entropy(
         input_path,
         lambda obs, src: _spectral_one_source(obs, src, max_k),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -4824,7 +4665,6 @@ def hill_tail(
     *,
     k: int = 20,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source Hill tail-index estimate over the observed 1m token
     sums (Hill 1975): ``hill = (1/k) sum_{i<=k} ln(x_(i) / x_(k+1))``
@@ -4848,7 +4688,6 @@ def hill_tail(
         input_path,
         lambda obs, src: _hill_one_source(obs, src, k),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -4905,7 +4744,6 @@ def theta_forecast(
     alpha: float = 0.5,
     horizon: int = 3,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Theta-method forecast per source over the OBSERVED 1m token sums
     (Assimakopoulos & Nikolopoulos 2000 — the M3 winner; equivalently an
@@ -4932,7 +4770,6 @@ def theta_forecast(
         input_path,
         lambda obs, src: _theta_one_source(obs, src, alpha, horizon),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -5008,7 +4845,6 @@ def control_rules(
     *,
     min_points: int = 8,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Western Electric control-chart rules per source over the OBSERVED
     1m token sums: standardize against the source's own exact-integer
@@ -5034,7 +4870,6 @@ def control_rules(
         input_path,
         lambda obs, src: _control_one_source(obs, src, min_points),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -5088,7 +4923,6 @@ def hampel_fill(
     half: int = 5,
     nsig: float = 3.0,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Hampel filter over the OBSERVED per-minute token sums of each
     source: a CENTERED rows-window of half-width ``half`` (truncated at
@@ -5116,7 +4950,6 @@ def hampel_fill(
         input_path,
         lambda obs, src: _hampel_one_source(obs, src, half, nsig),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -5226,7 +5059,6 @@ def pelt_changepoints(
     pen_mult: int = 2,
     min_size: int = 2,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source OPTIMAL level-shift changepoints by exact-arithmetic
     PELT over ``step``-grain token sums — the globally-optimal complement
@@ -5249,7 +5081,6 @@ def pelt_changepoints(
         input_path,
         lambda obs, src: _pelt_one_source(obs, src, step, pen_mult, min_size),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -5337,7 +5168,6 @@ def sample_entropy(
     m: int = 2,
     r_mult: float = 0.2,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source sample entropy of ``step``-grain token sums — the
     regularity/complexity measure of the ingest stream (low = periodic
@@ -5358,7 +5188,6 @@ def sample_entropy(
         input_path,
         lambda obs, src: _sampen_one_source(obs, src, step, m, r_mult),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )
 
 
@@ -5469,7 +5298,6 @@ def vopt_histogram(
     step: int = 3600,
     n_buckets: int = 4,
     check_tokens: bool = False,
-    shuffle: str = "sort",
 ):
     """Per-source V-optimal histogram: the K-bucket piecewise-constant
     synopsis of the ``step``-grain token sums with MINIMUM total SSE —
@@ -5490,5 +5318,4 @@ def vopt_histogram(
         input_path,
         lambda obs, src: _vopt_one_source(obs, src, step, n_buckets),
         check_tokens=check_tokens,
-        shuffle=shuffle,
     )

@@ -1,6 +1,6 @@
 """Gorilla chunk sink: one blob row per (source, tier) chunk.
 
-Runs inside the per-source ``map_groups`` (the tier rows are already in hand
+Runs inside the exchange reduce of the rollup (the tier rows are already in hand
 there, so compression adds no extra shuffle) or standalone over a tier-row
 table that is grouped by (source, tier). Decode helpers reconstruct the tier
 rows bit-exactly — the token-equality-style invariant for the compressed

@@ -1,9 +1,8 @@
 """Tier cascade + grid densification + gap fill, one columnar kernel.
 
 :func:`fill_tiers` takes the partial-aggregate rows of any number of
-sources — one ``skey`` group of the sort exchange (``map_groups``), a run
-of whole ``skey`` groups of the hash exchange (``bucketed_map_groups``),
-or a whole checkpoint bucket — and, with NumPy
+sources — a run of whole ``skey`` groups of the hash exchange
+(``bucketed_map_groups``) or a whole checkpoint bucket — and, with NumPy
 over the whole frame at once:
 
 1. orders the rows by ``skey``, then the source string (so a hash collision
@@ -312,9 +311,10 @@ def make_fill_group_fn(
     batch_format: str = "pandas",
 ):
     """Build the group fn of the rollup's exchange: :func:`fill_tiers` on
-    one ``skey`` group (``map_groups``, ``batch_format="pandas"``) or on a
-    run of whole ``skey`` groups (``bucketed_map_groups``,
-    ``batch_format="pyarrow"``: Arrow in and out). ``emit="rows"`` yields
+    a run of whole ``skey`` groups, Arrow in and out
+    (``batch_format="pyarrow"``, the form ``bucketed_map_groups`` calls),
+    or returning pandas (``batch_format="pandas"``, for a caller that
+    groups the partial rows itself). ``emit="rows"`` yields
     tier rows; ``emit="blobs"`` Gorilla-encodes each (source, tier) chunk
     in place (same shuffle, different sink shape)."""
     steps = _tier_steps(tiers)

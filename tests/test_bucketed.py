@@ -1,4 +1,5 @@
-"""Bucketed (explicit hash-shuffle) path must equal the pure-Ray-Data path."""
+"""The hash exchange (bucketed_map_groups) must equal an exchange-free
+reference: the same kernel over all partial rows at once, on the driver."""
 
 import glob
 import logging
@@ -18,6 +19,13 @@ from datafiller_ray.pipelines.rollup import (
     rollup_tiers,
     rollup_tiers_bucketed,
 )
+from datafiller_ray.pipelines.window import (
+    _per_source_group_fn,
+    _rolling_one_source,
+    _topk_one_source,
+    rolling_aggregates,
+    topk_buckets,
+)
 from datafiller_ray.stages.fill import fill_tiers, make_fill_group_fn
 
 
@@ -31,6 +39,28 @@ def small_input(tmp_path_factory):
 def _norm(df: pd.DataFrame) -> pd.DataFrame:
     cols = ["source", "tier", "bucket_ts", "count", "sum", "min", "max", "value", "filled", "fill_method"]
     return df[cols].sort_values(["tier", "source", "bucket_ts"]).reset_index(drop=True)
+
+
+def _driver_partials(path) -> pd.DataFrame:
+    return partial_aggregates(path, check_tokens=False).to_pandas()
+
+
+def _fill_reference(path, cfg) -> pd.DataFrame:
+    """Tier rows without an exchange: one ``fill_tiers`` call over all the
+    partial rows. An exchange that drops, duplicates or splits an ``skey``
+    group yields other rows."""
+    return _norm(fill_tiers(_driver_partials(path), cfg).to_pandas())
+
+
+def _window_reference(path, one_source) -> pd.DataFrame:
+    """Window rows without an exchange: the op's group fn over all the
+    partial rows as one frame."""
+    return _per_source_group_fn(one_source)(_driver_partials(path))
+
+
+def _sorted(df: pd.DataFrame, like: pd.DataFrame, key) -> pd.DataFrame:
+    """``df`` in ``like``'s columns, sorted by ``key``."""
+    return df[list(like.columns)].sort_values(key).reset_index(drop=True)
 
 
 _CFGS = {
@@ -49,27 +79,22 @@ _CFGS = {
 )
 def test_bucketed_equals_plain(ray_session, small_input, cfg_name, n_buckets):
     cfg = _CFGS[cfg_name]
-    a = _norm(rollup_tiers(small_input, fill=cfg, check_tokens=False).to_pandas())
-    b = _norm(
-        rollup_tiers_bucketed(
-            small_input,
-            fill=cfg,
-            check_tokens=False,
-            n_buckets=n_buckets,
-        ).to_pandas()
+    got = rollup_tiers(small_input, fill=cfg, check_tokens=False, n_buckets=n_buckets)
+    pd.testing.assert_frame_equal(
+        _norm(got.to_pandas()), _fill_reference(small_input, cfg)
     )
-    pd.testing.assert_frame_equal(a, b)
 
 
 def test_bucketed_empty_input(ray_session, tmp_path):
     path = str(tmp_path / "empty.parquet")
     pq.write_table(generate_input_table(5000, 9, seed=11).slice(0, 0), path)
+    assert len(_driver_partials(path)) == 0  # so the reference has no rows
     cfg = FillConfig(strategy="linear", max_gap=8)
-    assert rollup_tiers(path, fill=cfg, check_tokens=False).count() == 0
     for n in (None, 1, 3):
         ds = rollup_tiers_bucketed(path, fill=cfg, check_tokens=False, n_buckets=n)
         assert ds.count() == 0
         assert len(ds.to_pandas()) == 0
+    assert len(rolling_aggregates(path, window=5).to_pandas()) == 0
 
 
 @pytest.mark.parametrize("n_buckets", [0, -1])
@@ -114,7 +139,7 @@ def test_bucketed_streams_output_in_target_blocks(ray_session, small_input, capl
     from ray.data import DataContext
 
     cfg = FillConfig(strategy="linear", max_gap=8)
-    a = _norm(rollup_tiers(small_input, fill=cfg, check_tokens=False).to_pandas())
+    a = _fill_reference(small_input, cfg)
     ctx = DataContext.get_current()
     saved = ctx.target_max_block_size
     ctx.target_max_block_size = 8 * 1024
@@ -134,15 +159,13 @@ def test_bucketed_streams_output_in_target_blocks(ray_session, small_input, capl
 
 
 def test_bucketed_leaves_no_scratch_dirs(ray_session, small_input):
-    from datafiller_ray.pipelines.window import rolling_aggregates
-
     def shuffle_dirs():
         return set(glob.glob(os.path.join(tempfile.gettempdir(), "datafiller_ray_shuffle_*")))
 
     before = shuffle_dirs()
     cfg = FillConfig(strategy="linear", max_gap=8)
     assert rollup_tiers_bucketed(small_input, fill=cfg, check_tokens=False).count() > 0
-    assert rolling_aggregates(small_input, window=5, shuffle="bucketed").count() > 0
+    assert rolling_aggregates(small_input, window=5).count() > 0
     assert shuffle_dirs() - before == set()
 
 
@@ -154,7 +177,7 @@ def test_bucketed_blob_emit(ray_session, small_input, tmp_path):
         small_input, fill=cfg, check_tokens=False, emit="blobs",
         n_buckets=5,
     ).to_pandas()
-    rows = rollup_tiers(small_input, fill=cfg, check_tokens=False).to_pandas()
+    rows = _fill_reference(small_input, cfg)
     assert len(blobs) == rows.groupby(["source", "tier"]).ngroups
     decoded = pd.concat(
         [decode_tier_chunk(r) for r in blobs.to_dict("records")], ignore_index=True
@@ -162,7 +185,7 @@ def test_bucketed_blob_emit(ray_session, small_input, tmp_path):
     cols = ["source", "tier", "bucket_ts", "count", "sum", "min", "max", "value"]
     pd.testing.assert_frame_equal(
         _norm(decoded.assign(filled=False, fill_method=""))[cols],
-        _norm(rows)[cols],
+        rows[cols],
         check_dtype=False,
     )
 
@@ -212,8 +235,7 @@ def test_reduce_calls_fn_once_per_partition(ray_session, small_input, caplog):
     (plan,) = [r.plan for r in caplog.records if hasattr(r, "plan")]
     out = out.to_pandas()
     assert len(_calls(out)) == plan["partitions_nonempty"] == 3
-    want = _norm(rollup_tiers(small_input, fill=cfg, check_tokens=False).to_pandas())
-    pd.testing.assert_frame_equal(_norm(out), want)
+    pd.testing.assert_frame_equal(_norm(out), _fill_reference(small_input, cfg))
 
 
 @pytest.mark.parametrize("block_target", [8 * 1024], indirect=True)
@@ -224,8 +246,7 @@ def test_reduce_runs_close_at_the_block_target(ray_session, small_input, block_t
     assert ds.num_blocks() > 1
     out = ds.to_pandas()
     assert len(_calls(out)) > 1  # one partition, several runs
-    want = _norm(rollup_tiers(small_input, fill=cfg, check_tokens=False).to_pandas())
-    pd.testing.assert_frame_equal(_norm(out), want)
+    pd.testing.assert_frame_equal(_norm(out), _fill_reference(small_input, cfg))
 
 
 def test_skey_collision_inside_one_run_keeps_two_series(ray_session, small_input):
@@ -252,19 +273,72 @@ def test_skey_collision_inside_one_run_keeps_two_series(ray_session, small_input
 
 @pytest.mark.parametrize("block_target", [None, 8 * 1024], indirect=True)
 def test_bucketed_window_ops_equal_sort(ray_session, small_input, block_target):
-    from datafiller_ray.pipelines.window import rolling_aggregates, topk_buckets
-
-    for op in (
-        lambda shuffle: rolling_aggregates(small_input, window=5, shuffle=shuffle),
-        lambda shuffle: topk_buckets(small_input, k=3, shuffle=shuffle),
+    for ds, one_source in (
+        (
+            rolling_aggregates(small_input, window=5),
+            lambda obs, src: _rolling_one_source(obs, src, 5),
+        ),
+        (
+            topk_buckets(small_input, k=3),
+            lambda obs, src: _topk_one_source(obs, src, 3),
+        ),
     ):
-        a = op("sort").to_pandas()
-        b = op("bucketed").to_pandas()
-        key = list(a.columns)
+        want = _window_reference(small_input, one_source)
+        key = list(want.columns)
         pd.testing.assert_frame_equal(
-            a.sort_values(key).reset_index(drop=True),
-            b[key].sort_values(key).reset_index(drop=True),
+            _sorted(ds.to_pandas(), want, key), _sorted(want, want, key)
         )
+
+
+def test_pandas_partials_equal_arrow(ray_session, small_input):
+    """The exchange's split accepts pandas blocks as well as Arrow ones."""
+    import pyarrow as pa
+    import ray.data
+
+    cfg = FillConfig(strategy="linear", max_gap=8)
+    partials = _driver_partials(small_input)
+    fn = make_fill_group_fn(cfg, batch_format="pyarrow")
+    arrow = ray.data.from_arrow(pa.Table.from_pandas(partials, preserve_index=False))
+    pdf = ray.data.from_pandas(partials)
+    want = _norm(bucketed_map_groups(arrow, fn, n_buckets=3).to_pandas())
+    pd.testing.assert_frame_equal(
+        _norm(bucketed_map_groups(pdf, fn, n_buckets=3).to_pandas()), want
+    )
+
+
+# one exchange per op: the flagship fill and a window op over the
+# partial-row contract, each with its exchange-free reference and row key
+_OPS = {
+    "rollup_tiers": (
+        lambda path: rollup_tiers(path, fill=_CFGS["linear"], check_tokens=False),
+        lambda partials: fill_tiers(partials, _CFGS["linear"]).to_pandas(),
+        ["tier", "source", "bucket_ts"],
+    ),
+    "rolling_aggregates": (
+        lambda path: rolling_aggregates(path, window=5),
+        _per_source_group_fn(lambda obs, src: _rolling_one_source(obs, src, 5)),
+        ["source", "bucket_ts"],
+    ),
+}
+
+
+@pytest.mark.parametrize("op", list(_OPS))
+def test_op_hot_key_matches_reference(ray_session, tmp_path, caplog, op):
+    """One source: every partial row lands in one partition, through the
+    op's one exchange (one plan record)."""
+    run, reference, key = _OPS[op]
+    t = generate_input_table(3000, 1, seed=5)
+    for i in range(3):  # several partial blocks, one minute may span two
+        pq.write_table(t.slice(i * 1000, 1000), tmp_path / f"part-{i}.parquet")
+    path = str(tmp_path)
+    with caplog.at_level(logging.INFO, logger="datafiller_ray.pipelines.rollup"):
+        got = run(path).to_pandas()
+    (plan,) = [r.plan for r in caplog.records if hasattr(r, "plan")]
+    assert plan["blocks"] == 3 and plan["partitions_nonempty"] == 1
+    assert plan["rows_max"] == plan["rows_total"]
+    want = reference(_driver_partials(path))
+    assert got["source"].nunique() == 1
+    pd.testing.assert_frame_equal(_sorted(got, want, key), _sorted(want, want, key))
 
 
 def test_grouped_topk_matches_brute_force(ray_session):

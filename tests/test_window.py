@@ -218,10 +218,25 @@ def test_seasonal_anomaly_end_to_end(ray_session, small_fixture):
     ).all()
 
 
+def _driver_reference(path, one_source) -> pd.DataFrame:
+    """An op's rows without an exchange: its group fn over all the partial
+    rows as one frame, on the driver."""
+    from datafiller_ray.pipelines.rollup import partial_aggregates
+    from datafiller_ray.pipelines.window import _per_source_group_fn
+
+    partials = partial_aggregates(path, check_tokens=False).to_pandas()
+    return _per_source_group_fn(one_source)(partials)
+
+
 def test_bucketed_shuffle_matches_sort(ray_session, small_fixture):
-    """The explicit storage exchange must produce the same rows as the
-    sort-based groupby for every window op routed through it."""
-    from datafiller_ray.pipelines.window import hourly_profile, rolling_aggregates
+    """The hash exchange must produce the same rows as the exchange-free
+    reference for every window op routed through it: a dropped, duplicated
+    or split ``skey`` group changes them."""
+    from datafiller_ray.pipelines.window import (
+        _profile_one_source,
+        hourly_profile,
+        rolling_aggregates,
+    )
 
     def norm(df, keys):
         return df.sort_values(keys).reset_index(drop=True)
@@ -231,15 +246,16 @@ def test_bucketed_shuffle_matches_sort(ray_session, small_fixture):
         ["source", "bucket_ts"],
     )
     b = norm(
-        rolling_aggregates(small_fixture, window=10, shuffle="bucketed").to_pandas(),
+        _driver_reference(
+            small_fixture, lambda obs, src: _rolling_one_source(obs, src, 10)
+        ),
         ["source", "bucket_ts"],
     )
     pd.testing.assert_frame_equal(a, b)
 
     pa_ = norm(hourly_profile(small_fixture).to_pandas(), ["source", "hod"])
     pb = norm(
-        hourly_profile(small_fixture, shuffle="bucketed").to_pandas(),
-        ["source", "hod"],
+        _driver_reference(small_fixture, _profile_one_source), ["source", "hod"]
     )
     pd.testing.assert_frame_equal(pa_, pb)
 
@@ -1089,7 +1105,10 @@ def test_completeness_one_source_edges_and_dense_zero_hours():
 
 
 def test_completeness_report_end_to_end(ray_session, small_fixture):
-    from datafiller_ray.pipelines.window import completeness_report
+    from datafiller_ray.pipelines.window import (
+        _completeness_one_source,
+        completeness_report,
+    )
 
     out = completeness_report(small_fixture).to_pandas()
     assert (out["observed_minutes"] <= out["expected_minutes"]).all()
@@ -1099,8 +1118,8 @@ def test_completeness_report_end_to_end(ray_session, small_fixture):
     for _, g in out.groupby("source"):
         ts = np.sort(g["bucket_ts"].to_numpy(np.int64))
         assert (np.diff(ts) == 3600).all()
-    # the bucketed production exchange returns the identical report
-    b = completeness_report(small_fixture, shuffle="bucketed").to_pandas()
+    # the exchange returns the report of the exchange-free reference
+    b = _driver_reference(small_fixture, _completeness_one_source)
     key = ["source", "bucket_ts"]
     pd.testing.assert_frame_equal(
         out.sort_values(key).reset_index(drop=True),
