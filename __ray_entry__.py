@@ -3339,10 +3339,7 @@ def _returned_revenue_topk(sf_dir: str):
             li, orders, key="okey",
             left_payload={"rev": "rev"}, right_payload={"ckey": "ckey"},
         )
-    # pre_coalesce is safe here by this plan's OWN assumption: customer is
-    # broadcast as a dimension two hops below, so the per-customer partial
-    # stream is dimension-bounded
-    per_cust = grouped_sum(j, ["ckey"], "rev", pre_coalesce=16).map_batches(
+    per_cust = grouped_sum(j, ["ckey"], "rev").map_batches(
         lambda b: b.rename(columns={"rev": "revenue_e4"}),
         batch_format="pandas",
     )

@@ -2198,7 +2198,7 @@ def vocab_growth(input_path, *, step: int = 3600, n_buckets: int = 64):
     import pandas as pd
     import ray.data
 
-    from datafiller_ray.stages.exchange import _hash_column, grouped_sum
+    from datafiller_ray.stages.exchange import coarse_map_groups, grouped_sum
     from datafiller_ray.stages.validate import extract_epoch_minute
 
     if step < 60 or step % 60:
@@ -2240,25 +2240,12 @@ def vocab_growth(input_path, *, step: int = 3600, n_buckets: int = 64):
         n_buckets=n_buckets,
     )
 
-    def add_gk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_gk"] = (_hash_column(df["source"]) % np.uint64(n_buckets)).astype(
-            np.int64
-        )
-        return df
-
     def cumulate(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["source", "bucket_ts"], kind="mergesort").drop(
-            columns=["_gk"]
-        )
+        g = g.sort_values(["source", "bucket_ts"], kind="mergesort")
         g["vocab_size"] = g.groupby("source", sort=False)["new_tokens"].cumsum()
         return g
 
-    return (
-        counts.map_batches(add_gk, batch_format="pandas")
-        .groupby("_gk")
-        .map_groups(cumulate, batch_format="pandas")
-    )
+    return coarse_map_groups(counts, "source", cumulate, n_buckets=n_buckets)
 
 
 def weighted_quantiles(

@@ -6,12 +6,12 @@ materializing either side — for incremental re-fills, cache invalidation,
 and audit trails. ``snapshot_diff`` is the engine's FULL OUTER JOIN shape:
 both sides are projected to (key, value, carry...) inside the read's
 ``map_batches`` (the heavy payload never moves), tagged with a side bit,
-unioned, and routed through ONE bounded coarse-key exchange
-(``hash(key) % n_buckets``, the grouped_sum layout — see
-``stages/exchange.py`` for the rationale); each coarse group runs a
-vectorized pandas outer merge and emits only the delta rows
-(added / removed / changed — unchanged rows are dropped inside the group
-task, so output size is bounded by the true delta, not the corpus).
+unioned, and routed through ONE bounded coarse-key exchange on the key
+(``stages/exchange.coarse_map_groups`` — see that module for the
+rationale); each coarse group runs a vectorized pandas outer merge and
+emits only the delta rows (added / removed / changed — unchanged rows are
+dropped inside the group task, so output size is bounded by the true
+delta, not the corpus).
 
 Scale posture: the shuffle carries one slim row per input row (key + value
 + carry), the reduce side is bounded by ``n_buckets``, and no stage holds
@@ -34,7 +34,7 @@ import pyarrow as pa
 import pyarrow.compute  # noqa: F401  (pa.compute.cast in upsert_merge)
 
 from datafiller_ray.config import EngineValueError
-from datafiller_ray.functions.hashing import splitmix64, string_hash64
+from datafiller_ray.stages.exchange import coarse_map_groups
 
 if TYPE_CHECKING:
     from ray.data import Dataset
@@ -42,23 +42,10 @@ if TYPE_CHECKING:
 _MISSING = -1  # sentinel for "no value on this side" (output stays int64)
 
 
-def _key_hash(col: pa.ChunkedArray) -> np.ndarray:
-    if pa.types.is_integer(col.type):
-        return splitmix64(
-            np.asarray(col.to_pandas(), dtype=np.int64).view(np.uint64)
-        )
-    return string_hash64(np.asarray(col.to_pandas(), dtype="U"))
-
-
-def _tag_side(side: int, key: str, value: str, carry: tuple, n_buckets: int):
+def _tag_side(side: int, key: str, value: str, carry: tuple):
     def fn(t: pa.Table) -> pa.Table:
-        cols = {key: t[key], value: t[value]}
-        for c in carry:
-            cols[c] = t[c]
-        out = pa.table(cols)
-        gk = (_key_hash(t[key]) % np.uint64(n_buckets)).astype(np.int64)
-        out = out.append_column("_side", pa.array(np.full(len(gk), side, np.int8)))
-        return out.append_column("_gk", pa.array(gk, pa.int64()))
+        side_col = pa.array(np.full(t.num_rows, side, np.int8))
+        return t.select([key, value, *carry]).append_column("_side", side_col)
 
     return fn
 
@@ -87,12 +74,9 @@ def snapshot_diff(
 
     import ray
 
-    u = old.map_batches(
-        _tag_side(0, key, value, carry, n_buckets), batch_format="pyarrow"
-    ).union(
-        new.map_batches(
-            _tag_side(1, key, value, carry, n_buckets), batch_format="pyarrow"
-        )
+    u = old.map_batches(_tag_side(0, key, value, carry), batch_format="pyarrow")
+    u = u.union(
+        new.map_batches(_tag_side(1, key, value, carry), batch_format="pyarrow")
     )
     # the union doubles the block count, and the sort exchange's cost grows
     # with the block count (it samples, splits and merges every block), while
@@ -143,7 +127,7 @@ def snapshot_diff(
             res["status"] = res["status"].astype("string")
         return res[out_cols]
 
-    return u.groupby("_gk").map_groups(diff_group, batch_format="pandas")
+    return coarse_map_groups(u, key, diff_group, n_buckets=n_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +156,11 @@ def upsert_merge(
     per coarse group.
 
     Physical plan (the snapshot_diff layout): both sides project to
-    (key, payload, version, delete) inside the read, tag
-    ``hash(key) % n_buckets``, union, and route through ONE bounded
-    coarse-key exchange; each group sorts by (key, version, side) and
-    keeps the last row per key with a vectorized duplicated() mask — no
-    task ever holds more than one coarse bucket. The heavy payload rides
+    (key, payload, version, delete) inside the read, tag the side, union,
+    and route through ONE bounded coarse-key exchange on the key; each
+    group sorts by (key, version, side) and keeps the last row per key
+    with a vectorized duplicated() mask — no task ever holds more than one
+    coarse bucket. The heavy payload rides
     the shuffle once; at 100 TB raise ``n_buckets`` so a bucket fits a
     task heap.
 
@@ -203,16 +187,10 @@ def upsert_merge(
                     np.full(n, base_version, np.int64)
                 )
                 out_cols[delete] = pa.array(np.zeros(n, np.int64))
-            out = pa.table(out_cols)
-            out = out.append_column(
-                "_side", pa.array(np.full(n, side, np.int8))
-            )
-            gk = (_key_hash(t[key]) % np.uint64(n_buckets)).astype(np.int64)
-            return out.append_column("_gk", pa.array(gk, pa.int64()))
+            out_cols["_side"] = pa.array(np.full(n, side, np.int8))
+            return pa.table(out_cols)
 
         return fn
-
-    import ray  # noqa: F401  (exchange runs inside the Ray session)
 
     u = base.map_batches(tag(0), batch_format="pyarrow").union(
         updates.map_batches(tag(1), batch_format="pyarrow")
@@ -242,4 +220,4 @@ def upsert_merge(
             )
         return res
 
-    return u.groupby("_gk").map_groups(merge_group, batch_format="pandas")
+    return coarse_map_groups(u, key, merge_group, n_buckets=n_buckets)

@@ -35,6 +35,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from datafiller_ray.config import EngineValueError
+from datafiller_ray.stages.exchange import coarse_map_groups, key_hash
 
 __all__ = [
     "anti_join",
@@ -94,14 +95,12 @@ def _check_reserved(lp, rp, key, lschema, rschema):
 
 
 def _sentinel_filled_key(col, key_type):
-    """(filled_key, knull) for a possibly-null key column: the sort-based
-    groupby exchange cannot compare None against real values (Ray's
-    boundary ``searchsorted`` raises on mixed None/str blocks), so null
-    keys never enter the sort — each gets a stand-in key value plus a
-    ``_knull`` flag the kernel uses to route it to outer padding instead
-    of matching. ANY stand-in value is correct (the flag, not the key,
-    decides), so forward/backward fill spreads null rows across the same
-    groups as the data instead of piling them into one hot group."""
+    """(filled_key, knull) for a possibly-null key column: each null key
+    gets a stand-in value plus a ``_knull`` flag the kernel uses to route
+    it to outer padding instead of matching, so the kernels factorize a
+    null-free key column. ANY stand-in value is correct (the flag, not the
+    key, decides), so forward/backward fill spreads null rows across the
+    data's buckets instead of piling them into the one null bucket."""
     valid = pc.is_valid(col)
     knull = pc.cast(pc.invert(valid), pa.int8())
     filled = pc.fill_null_backward(pc.fill_null_forward(col))
@@ -487,31 +486,6 @@ def _nan_keys(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
     return pc.fill_null(pc.is_nan(col), False).to_numpy(zero_copy_only=False)
 
 
-def _add_join_bucket(key: str, n_buckets: int, *, with_salt: bool = False):
-    """Append the coarse exchange bucket ``_jb = hash(key[, salt]) %
-    n_buckets`` to a union-projected batch (null keys arrive
-    sentinel-filled, so the hash is total; any consistent placement of a
-    key is correct). With ``with_salt`` the salt mixes into the bucket so
-    a hot key's sub-groups still SPREAD across reduce tasks — the whole
-    point of salting."""
-    import pandas as pd
-
-    from datafiller_ray.functions.hashing import splitmix64
-    from datafiller_ray.stages.exchange import _hash_column
-
-    def add(t: pa.Table) -> pa.Table:
-        h = _hash_column(pd.Series(_key_values_np(t[key])))
-        if with_salt:
-            salt = (
-                t["_salt"].to_numpy(zero_copy_only=False).astype(np.int64)
-            )
-            h = splitmix64(h) + salt.view(np.uint64)
-        jb = (h % np.uint64(n_buckets)).astype(np.int64)
-        return t.append_column("_jb", pa.array(jb, type=pa.int64()))
-
-    return add
-
-
 def _make_bucket_cross_kernel(
     *, key, how, l_fields, r_fields, out_schema, max_group_rows, label,
     salted: bool = False,
@@ -565,7 +539,7 @@ def _make_bucket_cross_kernel(
         return pa.table(cols, schema=out_schema)
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_jb"]).combine_chunks()
+        g = g.combine_chunks()
         side = g["_side"].to_numpy(zero_copy_only=False)
         knull = g["_knull"].to_numpy(zero_copy_only=False).astype(bool)
         nan = _nan_keys(g[key]) & ~knull
@@ -665,19 +639,23 @@ def equi_join(
 ):
     """Generic hash equi-join through one coarse co-partitioning exchange:
     both sides project to the pruned tagged union schema, rows exchange on
-    ``hash(key) % n_buckets`` (bounded reduce fan-in, the grouped_sum
-    pattern), and the per-bucket kernel emits every key's left x right
-    cross product from one vectorized factorize + index expansion
-    (standard SQL inner/left/full-outer semantics, duplicates multiply;
-    the key output column follows SQL ``USING(key)`` — coalesced on
-    outer-padded rows; null and NaN keys never match).
+    ``key_hash(key) % n_buckets`` (bounded reduce fan-in,
+    :func:`~datafiller_ray.stages.exchange.coarse_map_groups`), and the
+    per-bucket kernel emits every key's left x right cross product from
+    one vectorized factorize + index expansion (standard SQL
+    inner/left/full-outer semantics, duplicates multiply; the key output
+    column follows SQL ``USING(key)`` — coalesced on outer-padded rows;
+    null and NaN keys never match).
 
-    Partitioning assumption: one key's OUTPUT (|L_k| x |R_k| rows) fits in
-    a task. For star-schema keys (orderkey, custkey) groups are tiny; a
-    hot key whose product exceeds ``max_group_rows`` raises
+    Partitioning assumption: one BUCKET's output fits in a task. A reduce
+    task materializes the joined rows of every key hashed to its bucket,
+    sum over those keys of |L_k| x |R_k| rows (about |join| / n_buckets),
+    so raise ``n_buckets`` when that would not fit. ``max_group_rows``
+    bounds only one key's product: a hot key above it raises
     EngineValueError naming the key rather than silently OOMing the
     worker — the remedy is :func:`salted_equi_join`, which splits hot
-    keys across salt sub-groups before the exchange.
+    keys across salt sub-groups before the exchange. No guard checks the
+    bucket total.
     """
     if how not in ("inner", "left", "full"):
         raise EngineValueError("how must be 'inner', 'left' or 'full'")
@@ -709,25 +687,10 @@ def equi_join(
         max_group_rows=max_group_rows,
         label="equi_join",
     )
-    return (
-        l_proj.union(r_proj)
-        .map_batches(
-            _add_join_bucket(key, n_buckets),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("_jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return coarse_map_groups(
+        l_proj.union(r_proj), key, per_bucket, n_buckets=n_buckets,
+        batch_format="pyarrow",
     )
-
-
-def _salt_hash(values: np.ndarray) -> np.ndarray:
-    """Deterministic 64-bit hash of the salt-by column (int or string)."""
-    from datafiller_ray.functions.hashing import splitmix64, string_hash64
-
-    if np.issubdtype(values.dtype, np.integer):
-        return splitmix64(values.astype(np.int64).view(np.uint64))
-    return string_hash64(np.asarray(values, dtype="U"))
 
 
 def _nsalt_vector(keys: np.ndarray, hot: dict, n: int) -> np.ndarray:
@@ -769,8 +732,9 @@ def salted_equi_join(
        e.g. a row id); the hot key's RIGHT rows replicate into every salt
        sub-group (replication cost |R_hot| x n_salt — the small side of
        the hot key pays, never the fact side). Non-hot keys ride the same
-       exchange with salt 0. One ``groupby([key, salt])`` co-locates each
-       sub-group and the shared cross kernel runs unchanged.
+       exchange with salt 0. One coarse exchange on ``(key, salt)``
+       co-locates each sub-group and the shared cross kernel runs
+       unchanged.
 
     Results are row-identical to :func:`equi_join` (inner/left); ``full``
     is rejected because unmatched-right padding would duplicate per salt
@@ -778,7 +742,9 @@ def salted_equi_join(
     plus the census cost.
 
     Per-salt-group products are ~``max_group_rows`` in expectation; the
-    kernel guard allows 4x slack for hash variance before raising.
+    kernel guard allows 4x slack for hash variance before raising. As in
+    :func:`equi_join`, a reduce task holds one bucket's output, here the
+    sub-groups of the 64 buckets of ``(key, salt)``.
     """
     if how not in ("inner", "left"):
         raise EngineValueError(
@@ -862,7 +828,8 @@ def salted_equi_join(
         salt = np.zeros(n, dtype=np.int32)
         hot_mask = nsalt > 1
         if hot_mask.any():
-            h = _salt_hash(t[salt_by].to_numpy(zero_copy_only=False)[hot_mask])
+            hot_rows = t.select([salt_by]).filter(pa.array(hot_mask))
+            h = key_hash(hot_rows, [salt_by])
             salt[hot_mask] = (h % nsalt[hot_mask].astype(np.uint64)).astype(np.int32)
         cols = _union_columns(
             t, union_fields, {key: key, **lp}, 0, key=key, salt=salt
@@ -900,15 +867,10 @@ def salted_equi_join(
         label="salted_equi_join",
         salted=True,
     )
-    return (
-        l_proj.union(r_proj)
-        .map_batches(
-            _add_join_bucket(key, 64, with_salt=True),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("_jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    # the salt joins the bucket key, so a hot key's sub-groups SPREAD
+    # across reduce tasks — the whole point of salting
+    return coarse_map_groups(
+        l_proj.union(r_proj), [key, "_salt"], per_bucket, batch_format="pyarrow"
     )
 
 
@@ -930,8 +892,9 @@ def semi_join(
     the exchange (8-byte rows, the partial-dedup combiner pattern), so the
     shuffle carries |left's pruned payload| + at most |right blocks| x
     |distinct keys per block| rows regardless of right-side duplication.
-    The per-key kernel is a presence test — group output == the group's
-    left rows, so no cross-product guard is needed.
+    The per-bucket kernel is a presence test — its output is a subset of
+    the bucket's left rows (about |left| / 64), so no cross-product guard
+    is needed.
 
     Null keys follow SQL three-valued logic: a null never matches, so
     null-key left rows survive only under ``anti`` (right-side null keys
@@ -953,9 +916,8 @@ def semi_join(
         pa.field("_side", pa.int8()),
     ]
     union_schema = pa.schema(union_fields)
-    # semi: null-key left rows can never pass EXISTS — drop them before the
-    # sort exchange (it cannot compare None against real keys); anti: they
-    # always pass NOT EXISTS — sentinel-fill and route via _knull
+    # null-key left rows never pass EXISTS (semi: dropped) and always pass
+    # NOT EXISTS (anti: sentinel-filled, routed via _knull)
     l_proj = _project_side(
         left, union_fields=union_fields, src_map={key: key, **lp}, side=0,
         key=key, drop_null_keys=not anti,
@@ -988,7 +950,7 @@ def semi_join(
         # instead of Ray's per-key group dispatch
         import pandas as pd
 
-        g = g.drop_columns(["_jb"]).combine_chunks()
+        g = g.combine_chunks()
         side = g["_side"].to_numpy(zero_copy_only=False)
         knull = g["_knull"].to_numpy(zero_copy_only=False).astype(bool)
         nan = _nan_keys(g[key]) & ~knull
@@ -1022,15 +984,8 @@ def semi_join(
             return empty
         return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
 
-    return (
-        l_proj.union(r_proj)
-        .map_batches(
-            _add_join_bucket(key, 64),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("_jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return coarse_map_groups(
+        l_proj.union(r_proj), key, per_bucket, batch_format="pyarrow"
     )
 
 

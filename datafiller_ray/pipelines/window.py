@@ -2117,11 +2117,11 @@ def cross_section_quantiles(
     the fleet-wide dispersion band per time slice, the transpose of every
     other window op's per-source axis. Two bounded exchanges: the standard
     per-source shuffle (exact per-source step-sums, tiny output), then a
-    TIME-keyed coarse exchange (``hash(bucket_ts) % n_buckets``) so each
-    bucket's cross-section lands in one task. quantile_cont interpolation
+    TIME-keyed coarse exchange (``coarse_map_groups`` on ``bucket_ts``) so
+    each bucket's cross-section lands in one task. quantile_cont interpolation
     (shared ``_interp_quantile``), round6-pinned outputs."""
     from datafiller_ray.config import EngineValueError
-    from datafiller_ray.stages.exchange import _hash_column
+    from datafiller_ray.stages.exchange import coarse_map_groups
 
     if step < 60 or step % 60:
         raise EngineValueError(f"step must be a positive multiple of 60, got {step}")
@@ -2136,13 +2136,6 @@ def cross_section_quantiles(
         return pd.DataFrame({"bucket_ts": b[starts], "tok": cs[ends] - cs[starts]})
 
     tier = _run_per_source(input_path, step_sums, check_tokens=check_tokens)
-
-    def add_gk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_gk"] = (
-            _hash_column(df["bucket_ts"]) % np.uint64(n_buckets)
-        ).astype(np.int64)
-        return df
 
     def q_group(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["bucket_ts", "tok"], kind="mergesort")
@@ -2171,11 +2164,7 @@ def cross_section_quantiles(
             out[c] = _round6_half_up(out[c].to_numpy(np.float64))
         return out
 
-    return (
-        tier.map_batches(add_gk, batch_format="pandas")
-        .groupby("_gk")
-        .map_groups(q_group, batch_format="pandas")
-    )
+    return coarse_map_groups(tier, "bucket_ts", q_group, n_buckets=n_buckets)
 
 
 def _value_runs_one_source(
@@ -2885,7 +2874,7 @@ def source_share(
     pinned division under round6 (the SQL window-SUM oracle computes the
     identical expression)."""
     from datafiller_ray.config import EngineValueError
-    from datafiller_ray.stages.exchange import _hash_column
+    from datafiller_ray.stages.exchange import coarse_map_groups
 
     if step < 60 or step % 60:
         raise EngineValueError(
@@ -2910,13 +2899,6 @@ def source_share(
 
     tier = _run_per_source(input_path, step_sums, check_tokens=check_tokens)
 
-    def add_gk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_gk"] = (
-            _hash_column(df["bucket_ts"]) % np.uint64(n_buckets)
-        ).astype(np.int64)
-        return df
-
     def share_group(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["bucket_ts", "source"], kind="mergesort")
         tot = g.groupby("bucket_ts")["tok"].transform("sum").to_numpy(np.int64)
@@ -2938,11 +2920,7 @@ def source_share(
             )
         )
 
-    return (
-        tier.map_batches(add_gk, batch_format="pandas")
-        .groupby("_gk")
-        .map_groups(share_group, batch_format="pandas")
-    )
+    return coarse_map_groups(tier, "bucket_ts", share_group, n_buckets=n_buckets)
 
 
 def _seasonality_one_source(obs: pd.DataFrame, source: str) -> pd.DataFrame:

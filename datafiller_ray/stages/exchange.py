@@ -1,24 +1,24 @@
-"""Coarse-keyed exact groupby-sum — the engine's replacement for Ray Data's
-``groupby(...).sum(...)`` aggregate operator.
+"""The coarse-key exchange: one key hash, one exchange, one grouped-aggregate
+plan. The joins, diffs and cross-sections exchange through it too; only a
+few int-keyed exchanges elsewhere still bucket ``splitmix64(key) % n``.
 
 Why: Ray's ``Aggregate`` plans ``DataContext.min_parallelism`` (default 200)
-reduce partitions regardless of data size; on a loaded box each partition
-carries ~0.1 s of task overhead, so even a 21k-row sum costs ~25 s of pure
-scheduling (measured — ``groupby().map_groups`` over the same rows is ~3 s,
-and a 64-group coarse exchange is sub-second). The fix is the engine's
-standing pattern (minhash gkey, skey sub-grouping): route rows through ONE
-sort exchange on a BOUNDED coarse key (``hash(key) % n_buckets`` — at most
-``n_buckets`` groups, so the reduce side is bounded and dense), then compute
-the exact per-key sums VECTORIZED inside each coarse group with a pandas
-groupby. Results are bit-identical to the aggregate operator: integer sums
-stay int64, groups never split across coarse buckets because the bucket is
-a pure function of the full key.
+reduce partitions regardless of data size; on a loaded box even a 21k-row
+sum costs ~25 s of pure scheduling (measured; a 64-group coarse exchange is
+sub-second). So rows go through ONE sort exchange on a BOUNDED coarse key,
+``key_hash(keys) % n_buckets``, and the exact per-key work runs VECTORIZED
+inside each coarse group:
 
-Scale posture: the shuffle carries the same (key, partial) rows either way;
-``n_buckets`` bounds reduce-task count, and per-task memory is
-``|rows| / n_buckets`` on average — raise ``n_buckets`` when a single
-bucket's rows would not fit a task (the callers' rows are pre-aggregated
-partials, orders of magnitude smaller than their inputs).
+- :func:`key_hash` does not depend on a block's dtype: integers of any
+  width and the same integral float (what pandas makes of an int column
+  holding a null) share a bucket, null and NaN share one fixed bucket;
+- :func:`coarse_map_groups` runs ``fn`` over whole coarse groups;
+- :func:`grouped_agg` (and :func:`grouped_sum`, its one-``how`` form)
+  combines each batch in Arrow first, so the exchange carries at most one
+  row per distinct key per block, in the input types.
+
+Scale posture: per-task memory is ``|rows| / n_buckets`` on average — raise
+``n_buckets`` when a single bucket's rows would not fit a task.
 """
 
 from __future__ import annotations
@@ -26,18 +26,77 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from datafiller_ray.config import EngineValueError
 from datafiller_ray.functions.hashing import splitmix64, string_hash64
 
 _GK = "_gk"
+_NULL_HASH = np.uint64(0x6E756C6C6E756C6C)  # any null or NaN key
 
 
-def _hash_column(col: pd.Series) -> np.ndarray:
-    vals = col.to_numpy()
-    if np.issubdtype(vals.dtype, np.integer):
-        return splitmix64(vals.astype(np.int64).view(np.uint64))
-    return string_hash64(col.astype(str).to_numpy(dtype="U"))
+def _column_hash(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
+    """uint64 hash of one key column: integers of any width and integral
+    floats hash their int64 value, other floats their bits, strings their
+    text (``string_hash64``); null and NaN hash to ``_NULL_HASH``."""
+    typ = col.type
+    null = pc.is_null(col, nan_is_null=True).to_numpy(zero_copy_only=False)
+    if pa.types.is_integer(typ) or pa.types.is_boolean(typ):
+        ints = pc.fill_null(col, 0).cast(pa.int64(), safe=False)
+        h = splitmix64(ints.to_numpy(zero_copy_only=False).view(np.uint64))
+    elif pa.types.is_floating(typ):
+        f = pc.fill_null(col, 0).cast(pa.float64()).to_numpy(zero_copy_only=False)
+        integral = np.isfinite(f) & (np.trunc(f) == f) & (np.abs(f) < 2.0**63)
+        as_int = np.where(integral, f, 0).astype(np.int64).view(np.uint64)
+        h = splitmix64(np.where(integral, as_int, f.view(np.uint64)))
+    else:
+        text = pc.fill_null(col.cast(pa.string()), "")
+        h = string_hash64(text.to_numpy(zero_copy_only=False).astype("U"))
+    h[null] = _NULL_HASH
+    return h
+
+
+def key_hash(t: "pa.Table", keys: "list[str]") -> np.ndarray:
+    """uint64 hash of ``t``'s ``keys`` columns, read from Arrow directly;
+    the coarse bucket is ``key_hash(t, keys) % n``. Order-sensitive: the
+    accumulator is re-scrambled BEFORE the next key's hash is added, so
+    (a, b) and (b, a) land differently (``splitmix64(h_a + h_b)`` alone is
+    commutative)."""
+    h = _column_hash(t[keys[0]])
+    for k in keys[1:]:
+        h = splitmix64(h) + _column_hash(t[k])
+    return h
+
+
+def coarse_map_groups(
+    ds, keys: "list[str] | str", fn, *, n_buckets: int = 64, batch_format="pandas"
+):
+    """``fn`` over whole key groups through ONE bounded coarse exchange:
+    append the bucket ``key_hash(keys) % n_buckets``, run one
+    ``groupby(bucket).map_groups``, and drop the bucket column before ``fn``
+    sees the group. Each ``fn`` call gets every row of the keys hashed to
+    one bucket (all of them, in one table of ``batch_format``), so a key's
+    rows never split across calls. The column name ``_gk`` is reserved."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    if n_buckets < 1:
+        raise EngineValueError(f"n_buckets must be >= 1, got {n_buckets}")
+
+    def add_bucket(t: "pa.Table") -> "pa.Table":
+        if _GK in t.column_names:
+            raise EngineValueError(f"column name {_GK!r} is reserved")
+        gk = (key_hash(t, keys) % np.uint64(n_buckets)).astype(np.int64)
+        return t.append_column(_GK, pa.array(gk, type=pa.int64()))
+
+    def run(g):
+        if batch_format == "pyarrow":
+            return fn(g.drop_columns([_GK]))
+        return fn(g.drop(columns=[_GK]))
+
+    return (
+        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby(_GK)
+        .map_groups(run, batch_format=batch_format)
+    )
 
 
 def grouped_sum(
@@ -47,65 +106,17 @@ def grouped_sum(
     *,
     n_buckets: int = 64,
     how: str = "sum",
-    pre_coalesce: "int | None" = None,
 ):
-    """Exact per-key sums (or, via ``how``, min/max — any associative pandas
-    reduction with the same partial+final algebra) of ``values`` grouped by
-    ``keys``, returned as a Dataset with the key columns plus the value
-    columns UNDER THEIR OWN NAMES (no ``sum(x)`` renaming dance).
-
-    Semantics match ``ds.groupby(keys).sum(values)`` exactly; the physical
-    plan is one bounded coarse-key sort exchange + a vectorized pandas sum
-    per bucket (see module docstring for why this is ~25 s faster per call
-    than Ray's aggregate operator on this substrate).
-    """
-    keys = [keys] if isinstance(keys, str) else list(keys)
-    values = [values] if isinstance(values, str) else list(values)
-    if not keys or not values:
-        raise EngineValueError("keys and values must be non-empty")
-    if _GK in keys or _GK in values:
-        raise EngineValueError(f"column name {_GK!r} is reserved")
-    if n_buckets < 1:
-        raise EngineValueError(f"n_buckets must be >= 1, got {n_buckets}")
-    if how not in ("sum", "min", "max"):
-        raise EngineValueError(f"how must be sum/min/max, got {how!r}")
-
-    def add_gk(t: "pa.Table") -> "pa.Table":
-        # ARROW block in/out: the sort exchange then moves zero-copy Arrow
-        # payloads instead of pickled pandas frames (measured ~10x lower
-        # scheduling cost on this substrate — COVERAGE.md "Exchange
-        # infrastructure"); only the key columns take a cheap per-column
-        # pandas hop for the shared hash
-        h = _hash_column(t[keys[0]].to_pandas())
-        for k in keys[1:]:
-            # order-sensitive mix: re-scramble the accumulator BEFORE adding
-            # the next key's hash, so (a, b) and (b, a) land differently
-            # (splitmix64(h_a + h_b) alone is commutative)
-            h = splitmix64(h) + _hash_column(t[k].to_pandas())
-        gk = (h % np.uint64(n_buckets)).astype(np.int64)
-        return t.select(keys + values).append_column(
-            _GK, pa.array(gk, type=pa.int64())
-        )
-
-    def sum_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # dropna=False: null keys form a group like Ray's aggregate (the
-        # pandas default silently DROPS their rows)
-        out = g.drop(columns=[_GK]).groupby(
-            keys, sort=True, as_index=False, dropna=False
-        )[values].agg(how)
-        return out
-
-    mapped = ds.map_batches(add_gk, batch_format="pyarrow")
-    if pre_coalesce:
-        # opt-in for DIMENSION-BOUNDED partial streams (the caller's plan
-        # must already assert the keyspace is small, e.g. a later
-        # broadcast hop on the same key): Ray's sort exchange cost grows
-        # with input block count, and coalescing a many-tiny-blocks
-        # stream first is ~3x faster (measured 1.0 s -> 0.32 s on a 128
-        # x 1.5k-row stream). NEVER set it on unbounded streams — the
-        # coalesced blocks must fit worker memory.
-        mapped = mapped.repartition(pre_coalesce)
-    return mapped.groupby(_GK).map_groups(sum_bucket, batch_format="pandas")
+    """Exact per-key ``how`` (sum, min or max) of ``values`` grouped by
+    ``keys``, as a Dataset with the key columns plus the value columns
+    UNDER THEIR OWN NAMES — :func:`grouped_agg` with one ``how`` for every
+    value. Semantics match ``ds.groupby(keys).sum(values)``."""
+    return grouped_agg(
+        ds,
+        keys,
+        dict.fromkeys([values] if isinstance(values, str) else values, how),
+        n_buckets=n_buckets,
+    )
 
 
 def topk_block_fn(k: int, rank_col: str, tie_cols: "list[str]"):
@@ -114,7 +125,6 @@ def topk_block_fn(k: int, rank_col: str, tie_cols: "list[str]"):
     rows by (``rank_col`` desc, ``tie_cols`` asc), preserving the block's
     row order so a final single-block pass applies the identical rule.
     Deterministic: the tie columns must totally order equal-rank rows."""
-    import pyarrow as pa
 
     def fn(t: "pa.Table") -> "pa.Table":
         if t.num_rows <= k:
@@ -147,8 +157,8 @@ def grouped_topk(
 
     Physical plan: per-BLOCK prune first (each block keeps at most k rows
     per group it sees, so the exchange carries O(groups_per_block * k)
-    rows, never the corpus), then the grouped_sum coarse-key exchange and
-    the identical prune per group. Deterministic: ``tie_cols`` must
+    rows, never the corpus), then :func:`coarse_map_groups` on ``group``
+    and the identical prune per group. Deterministic: ``tie_cols`` must
     totally order equal-rank rows.
     """
     group = [group] if isinstance(group, str) else list(group)
@@ -167,23 +177,15 @@ def grouped_topk(
             out[rank_name] = out.groupby(group, sort=False, dropna=False).cumcount() + 1
         return out
 
-    def block_prune(df: pd.DataFrame) -> "pa.Table":
-        df = prune(df, final=False).copy()
-        h = _hash_column(df[group[0]])
-        for g in group[1:]:
-            h = splitmix64(h) + _hash_column(df[g])
-        df[_GK] = (h % np.uint64(n_buckets)).astype(np.int64)
-        # pruned partials ship as ARROW blocks so the sort exchange moves
-        # zero-copy payloads (callers' columns are scalars by contract)
-        return pa.Table.from_pandas(df, preserve_index=False)
+    def block_prune(t: "pa.Table") -> "pa.Table":
+        # back to the block's own schema: the pandas hop must not turn an
+        # int column holding a null into a float one in the exchange
+        out = prune(t.to_pandas(), final=False)
+        return pa.Table.from_pandas(out, schema=t.schema, preserve_index=False)
 
-    def final_prune(g: pd.DataFrame) -> pd.DataFrame:
-        return prune(g.drop(columns=[_GK]), final=True)
-
-    return (
-        ds.map_batches(block_prune, batch_format="pandas")
-        .groupby(_GK)
-        .map_groups(final_prune, batch_format="pandas")
+    pruned = ds.map_batches(block_prune, batch_format="pyarrow")
+    return coarse_map_groups(
+        pruned, group, lambda g: prune(g, final=True), n_buckets=n_buckets
     )
 
 
@@ -193,47 +195,48 @@ def grouped_agg(
     aggs: "dict[str, str]",
     *,
     n_buckets: int = 64,
-    pre_coalesce: "int | None" = None,
 ):
-    """Mixed per-column reductions through ONE bounded coarse-key exchange
-    — ``grouped_sum`` generalized to a per-value ``how`` map (``{"n":
-    "sum", "last_ts": "max"}``). Same partial+final algebra contract:
-    every reduction must be associative/commutative (sum/min/max), so the
-    per-batch pre-aggregation below is exact under any block layout."""
+    """Mixed per-column reductions (``{"n": "sum", "last_ts": "max"}``)
+    grouped by ``keys`` through ONE bounded coarse-key exchange; the output
+    holds the key columns plus each value column under its own name.
+
+    Each batch is first reduced in Arrow (``group_by``; sums use
+    ``min_count=0``, so an all-null sum is 0 as in pandas) in the input key
+    and value types — exact under any block layout, since sum/min/max are
+    associative. Each bucket then runs the pandas ``groupby(keys,
+    sort=True, dropna=False).agg(aggs)``: null keys form a group like Ray's
+    aggregate, and the output dtypes are pandas' for the partials."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     if not keys or not aggs:
         raise EngineValueError("keys and aggs must be non-empty")
     if _GK in keys or _GK in aggs:
         raise EngineValueError(f"column name {_GK!r} is reserved")
-    if n_buckets < 1:
-        raise EngineValueError(f"n_buckets must be >= 1, got {n_buckets}")
     bad = {h for h in aggs.values() if h not in ("sum", "min", "max")}
     if bad:
         raise EngineValueError(f"aggs must be sum/min/max, got {sorted(bad)}")
     values = list(aggs)
 
-    def partial(batch: pd.DataFrame) -> "pa.Table":
-        # pre-aggregate inside the batch BEFORE the exchange (the combiner
-        # step): exact for associative reductions, shrinks the shuffle to
-        # <= |distinct keys in batch| rows; the partial ships as an ARROW
-        # block so the sort exchange moves zero-copy payloads, not pickled
-        # pandas frames
-        out = batch.groupby(keys, sort=False, as_index=False, dropna=False)[
-            values
-        ].agg(aggs)
-        h = _hash_column(out[keys[0]])
-        for k in keys[1:]:
-            h = splitmix64(h) + _hash_column(out[k])
-        out[_GK] = (h % np.uint64(n_buckets)).astype(np.int64)
-        return pa.Table.from_pandas(out, preserve_index=False)
+    def partial(t: "pa.Table") -> "pa.Table":
+        t = t.select(keys + values)
+        sum_opts = pc.ScalarAggregateOptions(min_count=0)  # not picklable
+        spec = []
+        for v, how in aggs.items():
+            if how == "sum" and pa.types.is_boolean(t.schema.field(v).type):
+                # pandas sums booleans as int64 counts
+                t = t.set_column(t.column_names.index(v), v, t[v].cast(pa.int64()))
+            spec.append((v, how, sum_opts) if how == "sum" else (v, how))
+        g = t.group_by(keys, use_threads=False).aggregate(spec)
+        cols = {k: g[k] for k in keys}
+        for v, how in aggs.items():
+            # Arrow widens sums (int32 -> int64, float32 -> double); pandas
+            # keeps the input type, so the partial does too
+            cols[v] = g[f"{v}_{how}"].cast(t.schema.field(v).type, safe=False)
+        return pa.table(cols)
 
     def final_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby(keys, sort=True, as_index=False, dropna=False)[
             values
         ].agg(aggs)
 
-    mapped = ds.map_batches(partial, batch_format="pandas")
-    if pre_coalesce:
-        # see grouped_sum: only for dimension-bounded partial streams
-        mapped = mapped.repartition(pre_coalesce)
-    return mapped.groupby(_GK).map_groups(final_bucket, batch_format="pandas")
+    partials = ds.map_batches(partial, batch_format="pyarrow")
+    return coarse_map_groups(partials, keys, final_bucket, n_buckets=n_buckets)
