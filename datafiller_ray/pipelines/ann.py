@@ -547,6 +547,7 @@ def embedding_near_dup_lsh(
     Recall per true pair at angle theta is 1-(1-(1-theta/pi)^p)^T
     (documented approximation; the brute-force variant is the exact
     baseline)."""
+    from datafiller_ray.stages.exchange import coarse_map_groups
 
     # plane matrices are constants of (dim, n_planes, seed): build once and
     # close over them instead of re-drawing RNGs in every batch
@@ -567,11 +568,6 @@ def embedding_near_dup_lsh(
                     {
                         "vec_id": ids,
                         "bkey": t * (1 << n_planes) + bucket,
-                        # shuffle on a COARSE key (<=256 buckets folded per
-                        # table) so group count stays bounded — tens of
-                        # thousands of tiny map_groups calls cost seconds
-                        # of per-group Python overhead (minhash precedent)
-                        "gkey": t * 256 + (bucket & 255),
                     }
                 )
             )
@@ -587,10 +583,14 @@ def embedding_near_dup_lsh(
             [["vec_a", "vec_b"]]
         )
 
-    cand = (
-        embeddings.map_batches(add_table_buckets, batch_format="pandas")
-        .groupby("gkey")
-        .map_groups(bucket_pairs, batch_format="pandas")
+    # shuffle on a COARSE key (256 groups per table) so group count stays
+    # bounded — tens of thousands of tiny map_groups calls cost seconds of
+    # per-group Python overhead (minhash precedent)
+    cand = coarse_map_groups(
+        embeddings.map_batches(add_table_buckets, batch_format="pandas"),
+        "bkey",
+        bucket_pairs,
+        n_buckets=n_tables * 256,
     )
     # cross-table edge dedup through a second SMALL shuffle (groupby the
     # left endpoint, drop duplicates inside the group) — on a near-dup-heavy
@@ -1959,7 +1959,7 @@ def mutual_knn(
     coarse key, and a vectorized self-merge inside each of the <=1024
     groups keeps pairs present in both directions — no driver pass."""
     from datafiller_ray.config import EngineValueError
-    from datafiller_ray.functions.hashing import splitmix64
+    from datafiller_ray.stages.exchange import coarse_map_groups
 
     if k < 1:
         raise EngineValueError(f"k must be >= 1, got {k}")
@@ -1974,12 +1974,7 @@ def mutual_knn(
     def pair_key(batch: pd.DataFrame) -> pd.DataFrame:
         src = batch["src"].to_numpy(np.int64)
         dst = batch["dst"].to_numpy(np.int64)
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        batch = batch.assign(lo=lo, hi=hi)
-        mix = splitmix64((lo * np.int64(1000003) + hi).view(np.uint64))
-        batch["gkey"] = (mix & np.uint64(1023)).astype(np.int64)
-        return batch
+        return batch.assign(lo=np.minimum(src, dst), hi=np.maximum(src, dst))
 
     def mutual_group(g: pd.DataFrame) -> pd.DataFrame:
         fwd = g[g["src"] == g["lo"]]
@@ -2002,10 +1997,11 @@ def mutual_knn(
             out["vec_a"] = out["vec_a"].astype(np.int64)
         return out
 
-    return (
-        edges.map_batches(pair_key, batch_format="pandas")
-        .groupby("gkey")
-        .map_groups(mutual_group, batch_format="pandas")
+    return coarse_map_groups(
+        edges.map_batches(pair_key, batch_format="pandas"),
+        ["lo", "hi"],
+        mutual_group,
+        n_buckets=1024,
     )
 
 

@@ -1907,7 +1907,7 @@ def length_ntile(
     """
     import ray
 
-    from datafiller_ray.stages.exchange import grouped_sum
+    from datafiller_ray.stages.exchange import coarse_map_groups, grouped_sum
 
     if n_tiles < 1:
         raise EngineValueError(f"n_tiles must be >= 1, got {n_tiles}")
@@ -1952,15 +1952,10 @@ def length_ntile(
     sref = ray.put((vals, starts))
 
     def project(t: pa.Table) -> pa.Table:
-        v = pc.cast(t[value_col], pa.int64())
-        h = splitmix64(
-            v.to_numpy(zero_copy_only=False).view(np.uint64)
-        ) % np.uint64(n_buckets)
         return pa.table(
             {
                 "doc_id": pc.cast(t["doc_id"], pa.int64()),
-                "v": v,
-                "gkey": pa.array(h.astype(np.int64)),
+                "v": pc.cast(t[value_col], pa.int64()),
             }
         )
 
@@ -1992,7 +1987,7 @@ def length_ntile(
         )
 
     slim = docs.map_batches(project, batch_format="pyarrow")
-    return slim.groupby("gkey").map_groups(rank_bucket, batch_format="pandas")
+    return coarse_map_groups(slim, "v", rank_bucket, n_buckets=n_buckets)
 
 
 def source_ks(docs, *, value_col: str = "n_chars"):
@@ -2459,9 +2454,6 @@ def vocab_overlap(ds, *, n_buckets: int = 64):
     floor-half-up absorber."""
     import pandas as pd
 
-    if n_buckets < 1:
-        raise EngineValueError(f"n_buckets must be >= 1, got {n_buckets}")
-
     def pair_partial(t: pa.Table) -> pa.Table:
         arr = t["tokens"].combine_chunks()
         lens = pc.list_value_length(arr).to_numpy(zero_copy_only=False)
@@ -2481,14 +2473,7 @@ def vocab_overlap(ds, *, n_buckets: int = 64):
         key = np.unique(key)
         tok = key & ((np.int64(1) << np.int64(32)) - 1)
         si = (key >> np.int64(32)).astype(np.int64)
-        gk = splitmix64(tok.view(np.uint64)) % np.uint64(n_buckets)
-        return pa.table(
-            {
-                "source": pa.array(usrc[si]),
-                "token": pa.array(tok),
-                "gkey": pa.array(gk.astype(np.int64)),
-            }
-        )
+        return pa.table({"source": pa.array(usrc[si]), "token": pa.array(tok)})
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         # distinct (source, token) membership matrix T (tokens x sources);
@@ -2513,7 +2498,7 @@ def vocab_overlap(ds, *, n_buckets: int = 64):
             }
         )
 
-    from datafiller_ray.stages.exchange import grouped_sum
+    from datafiller_ray.stages.exchange import coarse_map_groups, grouped_sum
 
     partials = ds.map_batches(
         # batch_size=None: dedup whole blocks — per-1024-row micro-batches
@@ -2521,9 +2506,7 @@ def vocab_overlap(ds, *, n_buckets: int = 64):
         pair_partial, batch_format="pyarrow", batch_size=None,
         zero_copy_batch=True,
     )
-    pairs = partials.groupby("gkey").map_groups(
-        bucket_pairs, batch_format="pandas"
-    )
+    pairs = coarse_map_groups(partials, "token", bucket_pairs, n_buckets=n_buckets)
     summed = grouped_sum(pairs, ["a", "b"], "cnt")
 
     def finish(t: pa.Table) -> pa.Table:
@@ -2890,18 +2873,19 @@ def _kn_count_tables(occ, *, n_buckets: int = 64):
     drops by that factor while results stay bit-identical."""
     import pandas as pd
 
+    from datafiller_ray.stages.exchange import coarse_map_groups
+
     def count_partial(df: pd.DataFrame) -> "pa.Table":
         # pure projection, no batch-local fold: occ rows are per-DOC
         # multiplicities already, and cross-doc overlap within a batch is
         # ~2% on natural corpora (measured 83.1M occ -> 81.8M distinct),
         # so a second pandas groupby here costs more than the rows it
         # removes from the exchange
-        key = df["key"].to_numpy(np.int64)
-        gk = (
-            splitmix64(key.view(np.uint64)) % np.uint64(n_buckets)
-        ).astype(np.int64)
         return pa.table(
-            {"key": key, "c2": df["m"].to_numpy(np.int64), "_gk": gk}
+            {
+                "key": df["key"].to_numpy(np.int64),
+                "c2": df["m"].to_numpy(np.int64),
+            }
         )
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -2946,12 +2930,12 @@ def _kn_count_tables(occ, *, n_buckets: int = 64):
         ]
         return pd.concat(frames, ignore_index=True)
 
-    return (
-        occ.map_batches(count_partial, batch_format="pandas")
-        .groupby("_gk")
-        .map_groups(reduce_bucket, batch_format="pandas")
-        .materialize()
-    )
+    return coarse_map_groups(
+        occ.map_batches(count_partial, batch_format="pandas"),
+        "key",
+        reduce_bucket,
+        n_buckets=n_buckets,
+    ).materialize()
 
 
 def _collect_kn_folds(tables):
@@ -3181,8 +3165,8 @@ def _score_occurrences(
     coarse-bucket co-partition and fold per document.
 
     Occurrence rows (``m >= 1``) and c2 rows (``m == 0`` marks the count
-    side) are tagged with the same bounded bucket key — ``hash(key) %
-    n_buckets`` — so every bigram's count lands in the same task as all
+    side) share one ``coarse_map_groups`` exchange on ``key`` — so every
+    bigram's count lands in the same task as all
     its occurrences (NOT the fine-key equi_join, whose per-group kernel
     costs a UDF call per distinct bigram); the in-bucket merge is one
     vectorized searchsorted. ``nll_fn(key_l, c2v)`` maps the aligned
@@ -3203,33 +3187,27 @@ def _score_occurrences(
     join."""
     import pandas as pd
 
-    from datafiller_ray.stages.exchange import grouped_sum
+    from datafiller_ray.stages.exchange import coarse_map_groups, grouped_sum
 
     doc_keys = ["doc_id"] + (["source"] if with_source else [])
 
     def occ_tag(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["key"].to_numpy(np.int64)
-        bk = splitmix64(key.view(np.uint64)) % np.uint64(n_buckets)
         out = {
             "doc_id": df["doc_id"].to_numpy(object),
-            "key": key,
+            "key": df["key"].to_numpy(np.int64),
             "m": df["m"].to_numpy(np.int64),
             "c2": np.zeros(len(df), dtype=np.int64),
-            "_bk": bk.astype(np.int64),
         }
         if with_source:
             out["source"] = df["source"].to_numpy(object)
         return pd.DataFrame(out)
 
     def c2_tag(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["key"].to_numpy(np.int64)
-        bk = splitmix64(key.view(np.uint64)) % np.uint64(n_buckets)
         out = {
             "doc_id": np.full(len(df), "", dtype=object),
-            "key": key,
+            "key": df["key"].to_numpy(np.int64),
             "m": np.zeros(len(df), dtype=np.int64),
             "c2": df["c2"].to_numpy(np.int64),
-            "_bk": bk.astype(np.int64),
         }
         if with_source:
             out["source"] = np.full(len(df), "", dtype=object)
@@ -3275,7 +3253,7 @@ def _score_occurrences(
         )
 
     summed = grouped_sum(
-        tagged.groupby("_bk").map_groups(bucket_merge, batch_format="pandas"),
+        coarse_map_groups(tagged, "key", bucket_merge, n_buckets=n_buckets),
         doc_keys,
         ["n_bigrams", "nll_sum"],
         n_buckets=n_buckets,
@@ -3617,8 +3595,7 @@ def ppl_tercile(
     import pandas as pd
     import ray.data
 
-    from datafiller_ray.functions.hashing import string_hash64
-    from datafiller_ray.stages.exchange import grouped_sum
+    from datafiller_ray.stages.exchange import coarse_map_groups, grouped_sum
 
     if n_tiles < 1:
         raise EngineValueError(f"n_tiles must be >= 1, got {n_tiles}")
@@ -3694,13 +3671,9 @@ def ppl_tercile(
         nll_int = np.rint(
             df["mean_nll"].to_numpy(np.float64) * 1e6
         ).astype(np.int64)
-        cb = nll_int // coarse_width
-        h = string_hash64(df["source"].to_numpy(object).astype("U"))
-        gk = (splitmix64(h + cb.view(np.uint64)) % np.uint64(n_buckets))
         out = df[["doc_id", "source", "n_bigrams", "mean_nll"]].copy()
         out["_nll_int"] = nll_int
-        out["_cb"] = cb
-        out["_gk"] = gk.astype(np.int64)
+        out["_cb"] = nll_int // coarse_width
         return out
 
     def rank_assign(g: pd.DataFrame) -> pd.DataFrame:
@@ -3729,10 +3702,11 @@ def ppl_tercile(
         out["ppl_tile"] = tile
         return out
 
-    return (
-        joined.map_batches(cell_tag, batch_format="pandas")
-        .groupby("_gk")
-        .map_groups(rank_assign, batch_format="pandas")
+    return coarse_map_groups(
+        joined.map_batches(cell_tag, batch_format="pandas"),
+        ["source", "_cb"],
+        rank_assign,
+        n_buckets=n_buckets,
     )
 
 
@@ -4166,7 +4140,7 @@ def source_ngram_overlap(input_path, *, n: int = 3, n_buckets: int = 64):
     import ray
     import ray.data
 
-    from datafiller_ray.stages.exchange import grouped_sum
+    from datafiller_ray.stages.exchange import coarse_map_groups, grouped_sum
 
     if n not in (2, 3):
         raise EngineValueError(f"n must be 2 or 3, got {n}")
@@ -4220,14 +4194,6 @@ def source_ngram_overlap(input_path, *, n: int = 3, n_buckets: int = 64):
         dict(zip(na["source"].tolist(), na["n_a"].to_numpy(np.int64)))
     )
 
-    def add_kk(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[["source", "key"]].copy()
-        out["_kk"] = (
-            splitmix64(df["key"].to_numpy(np.int64).view(np.uint64))
-            % np.uint64(n_buckets)
-        ).astype(np.int64)
-        return out
-
     def pair_partial(g: pd.DataFrame) -> pd.DataFrame:
         m = g[["source", "key"]].merge(
             g[["source", "key"]], on="key", suffixes=("_a", "_b")
@@ -4250,9 +4216,12 @@ def source_ngram_overlap(input_path, *, n: int = 3, n_buckets: int = 64):
         return out
 
     pairs = grouped_sum(
-        distinct.map_batches(add_kk, batch_format="pandas")
-        .groupby("_kk")
-        .map_groups(pair_partial, batch_format="pandas"),
+        coarse_map_groups(
+            distinct.select_columns(["source", "key"]),
+            "key",
+            pair_partial,
+            n_buckets=n_buckets,
+        ),
         ["source_a", "source_b"],
         "n_common",
     )

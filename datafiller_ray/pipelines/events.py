@@ -704,21 +704,16 @@ def cohort_retention(
     if period_seconds < 1:
         raise EngineValueError(f"period_seconds must be >= 1, got {period_seconds}")
 
-    from datafiller_ray.functions.hashing import splitmix64
-
     def project(batch: pa.Table) -> pa.Table:
-        # per-batch distinct (user, period) + coarse user bucket: a
-        # user-keyed map_groups would pay one Python call PER USER
-        # (corpus-cardinality at scale); 256 hash buckets bound the group
-        # count and the per-bucket pass below is vectorized across users
+        # per-batch distinct (user, period); a user-keyed map_groups would
+        # pay one Python call PER USER (corpus-cardinality at scale), so
+        # 256 coarse user buckets bound the group count and the per-bucket
+        # pass below is vectorized across users
         us = pc.cast(pc.cast(batch["ts"], pa.timestamp("us")), pa.int64())
         per = pc.divide(pc.divide(us, pa.scalar(1_000_000, pa.int64())),
                         pa.scalar(period_seconds, pa.int64()))
         t = pa.table({"user_id": batch["user_id"], "period": per})
-        t = t.group_by(["user_id", "period"]).aggregate([])
-        uids = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ub = (splitmix64(uids.view(np.uint64)) % np.uint64(256)).astype(np.int64)
-        return t.append_column("_ub", pa.array(ub))
+        return t.group_by(["user_id", "period"]).aggregate([])
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # all users of this bucket at once: sort by (user, period), find
@@ -739,9 +734,9 @@ def cohort_retention(
     slim = events.map_batches(
         project, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
-    from datafiller_ray.stages.exchange import grouped_sum
+    from datafiller_ray.stages.exchange import coarse_map_groups, grouped_sum
 
-    pairs = slim.groupby("_ub").map_groups(per_bucket, batch_format="pandas")
+    pairs = coarse_map_groups(slim, "user_id", per_bucket, n_buckets=256)
     counted = grouped_sum(pairs, ["cohort_period", "period_offset"], "one")
     return counted.map_batches(
         lambda b: b.rename(columns={"one": "n_active"}), batch_format="pandas"
@@ -939,28 +934,21 @@ def user_top_event(
 
     Scale shape: one pruned zero-copy projection collapses each input block
     to (user_id, event_type, cnt) partial counts (the only rows that move),
-    then ONE bounded coarse exchange on ``splitmix64(user_id) % n_buckets``
+    then ONE bounded coarse exchange on ``user_id`` (``coarse_map_groups``)
     — per-bucket work is a vectorized pandas sum + stable first-row-per-user
     pick, never a per-user Python call. Integer counts are order-independent
     exactly, so the plan is deterministic under any block layout.
     """
-    from datafiller_ray.config import EngineValueError
-    from datafiller_ray.functions.hashing import splitmix64
-
-    if n_buckets < 1:
-        raise EngineValueError(f"n_buckets must be >= 1, got {n_buckets}")
+    from datafiller_ray.stages.exchange import coarse_map_groups
 
     def partial(t: pa.Table) -> pa.Table:
         slim = pa.table({"user_id": t["user_id"], "event_type": t["event_type"]})
         agg = slim.group_by(["user_id", "event_type"]).aggregate([([], "count_all")])
-        uid = agg["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        gk = splitmix64(uid.view(np.uint64)) % np.uint64(n_buckets)
         return pa.table(
             {
                 "user_id": agg["user_id"],
                 "event_type": agg["event_type"],
                 "cnt": agg["count_all"],
-                "gkey": pa.array(gk.astype(np.int64)),
             }
         )
 
@@ -987,7 +975,7 @@ def user_top_event(
     partials = events.map_batches(
         partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
-    return partials.groupby("gkey").map_groups(top_per_user, batch_format="pandas")
+    return coarse_map_groups(partials, "user_id", top_per_user, n_buckets=n_buckets)
 
 
 def transition_topk(
@@ -1000,7 +988,7 @@ def transition_topk(
     (count desc, prev asc, next asc).
 
     Scale shape: a pruned zero-copy projection, ONE bounded coarse exchange
-    on ``splitmix64(user_id) % n_buckets`` (each user's timeline lands
+    on ``user_id`` (``coarse_map_groups``; each user's timeline lands
     whole in one bucket; the heavy props/value columns never move), a fully
     vectorized pair extraction per bucket (sort + shifted-equality mask —
     no per-user Python), a second tiny exchange over the (prev, next, cnt)
@@ -1008,24 +996,18 @@ def transition_topk(
     order-independent exactly.
     """
     from datafiller_ray.config import EngineValueError
-    from datafiller_ray.functions.hashing import splitmix64
 
     if k <= 0:
         raise EngineValueError("k must be positive")
-    if n_buckets < 1:
-        raise EngineValueError(f"n_buckets must be >= 1, got {n_buckets}")
 
     def project(t: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        gk = splitmix64(uid.view(np.uint64)) % np.uint64(n_buckets)
         return pa.table(
             {
                 "user_id": t["user_id"],
                 "ts_us": us,
                 "event_id": t["event_id"],
                 "event_type": t["event_type"],
-                "gkey": pa.array(gk.astype(np.int64)),
             }
         )
 
@@ -1057,14 +1039,18 @@ def transition_topk(
         out["cnt"] = out["cnt"].astype(np.int64)
         return out
 
-    from datafiller_ray.stages.exchange import grouped_sum, topk_block_fn
+    from datafiller_ray.stages.exchange import (
+        coarse_map_groups,
+        grouped_sum,
+        topk_block_fn,
+    )
 
     topk_block = topk_block_fn(k, "cnt", ["prev", "nxt"])
 
     slim = events.map_batches(
         project, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
-    partials = slim.groupby("gkey").map_groups(pair_counts, batch_format="pandas")
+    partials = coarse_map_groups(slim, "user_id", pair_counts, n_buckets=n_buckets)
     counts = grouped_sum(partials, ["prev", "nxt"], "cnt")
     pruned = counts.map_batches(topk_block, batch_format="pyarrow")
     return pruned.repartition(1).map_batches(topk_block, batch_format="pyarrow")
@@ -1189,14 +1175,10 @@ def user_lifetime(
 
     Scale shape: each block collapses to one partial row per (user, day)
     plus per-user min/max/count partials; ONE bounded coarse exchange on
-    ``splitmix64(user_id) % n_buckets``; vectorized per-bucket combine.
+    ``user_id`` (``coarse_map_groups``); vectorized per-bucket combine.
     All integers — exact under any layout.
     """
-    from datafiller_ray.config import EngineValueError
-    from datafiller_ray.functions.hashing import splitmix64
-
-    if n_buckets < 1:
-        raise EngineValueError(f"n_buckets must be >= 1, got {n_buckets}")
+    from datafiller_ray.stages.exchange import coarse_map_groups
 
     def partial(t: pa.Table) -> pd.DataFrame:
         us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64()).to_numpy(
@@ -1211,10 +1193,6 @@ def user_lifetime(
         )
         out = g.reset_index()
         out["n_events"] = out["n_events"].astype(np.int64)
-        gk = splitmix64(
-            out["user_id"].to_numpy(np.int64).view(np.uint64)
-        ) % np.uint64(n_buckets)
-        out["gkey"] = gk.astype(np.int64)
         return out
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
@@ -1238,7 +1216,7 @@ def user_lifetime(
     partials = events.map_batches(
         partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
-    return partials.groupby("gkey").map_groups(combine, batch_format="pandas")
+    return coarse_map_groups(partials, "user_id", combine, n_buckets=n_buckets)
 
 
 def daily_active_users(
@@ -1249,11 +1227,7 @@ def daily_active_users(
     before the ONE bounded coarse exchange on the day hash; per-bucket
     nunique is vectorized. All integers — exact under any layout.
     """
-    from datafiller_ray.config import EngineValueError
-    from datafiller_ray.functions.hashing import splitmix64
-
-    if n_buckets < 1:
-        raise EngineValueError(f"n_buckets must be >= 1, got {n_buckets}")
+    from datafiller_ray.stages.exchange import coarse_map_groups
 
     def partial(t: pa.Table) -> pd.DataFrame:
         us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64()).to_numpy(
@@ -1268,10 +1242,6 @@ def daily_active_users(
             .reset_index(name="n_events")
         )
         g["n_events"] = g["n_events"].astype(np.int64)
-        gk = splitmix64(g["day"].to_numpy(np.int64).view(np.uint64)) % np.uint64(
-            n_buckets
-        )
-        g["gkey"] = gk.astype(np.int64)
         return g
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
@@ -1290,7 +1260,7 @@ def daily_active_users(
     partials = events.map_batches(
         partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
-    return partials.groupby("gkey").map_groups(combine, batch_format="pandas")
+    return coarse_map_groups(partials, "day", combine, n_buckets=n_buckets)
 
 
 def rolling_active_users(
@@ -1311,7 +1281,7 @@ def rolling_active_users(
     once. All integers — exact under any layout.
     """
     from datafiller_ray.config import EngineValueError
-    from datafiller_ray.functions.hashing import splitmix64
+    from datafiller_ray.stages.exchange import coarse_map_groups
 
     if window_days < 1:
         raise EngineValueError(f"window_days must be >= 1, got {window_days}")
@@ -1366,14 +1336,9 @@ def rolling_active_users(
         flat = np.concatenate(
             [obs[l:h] for l, h in zip(lo, hi)]
         ) if day.size else np.empty(0, np.int64)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"wday": flat, "user_id": uid[idx]}
         ).drop_duplicates()
-        gk = splitmix64(
-            out["wday"].to_numpy(np.int64).view(np.uint64)
-        ) % np.uint64(n_buckets)
-        out["gkey"] = gk.astype(np.int64)
-        return out
 
     fanned = pairs.map_batches(fan_out, batch_format="pandas")
 
@@ -1386,7 +1351,7 @@ def rolling_active_users(
             }
         )
 
-    return fanned.groupby("gkey").map_groups(combine, batch_format="pandas")
+    return coarse_map_groups(fanned, "wday", combine, n_buckets=n_buckets)
 
 
 def session_stats(
@@ -1408,26 +1373,20 @@ def session_stats(
     bucket. All inputs integer seconds; mean/median are the only float
     expressions, both pinned (floor-half-up / quantile_cont rule)."""
     from datafiller_ray.config import EngineValueError
-    from datafiller_ray.functions.hashing import splitmix64
     from datafiller_ray.pipelines.window import _interp_median, _round6_half_up
+    from datafiller_ray.stages.exchange import coarse_map_groups
 
     if cap < 1:
         raise EngineValueError(f"cap must be >= 1, got {cap}")
     sessions = events_sessions(events, gap_seconds=gap_seconds)
 
     def to_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        n = df["n_events"].to_numpy(np.int64)
-        nb = np.minimum(n, cap)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
-                "n_bucket": nb,
+                "n_bucket": np.minimum(df["n_events"].to_numpy(np.int64), cap),
                 "dur": df["duration_sec"].to_numpy(np.int64),
             }
         )
-        out["_gk"] = (
-            splitmix64(nb.view(np.uint64)) % np.uint64(n_buckets)
-        ).astype(np.int64)
-        return out
 
     def stats_group(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -1452,10 +1411,11 @@ def session_stats(
         out["total_dur"] = out["total_dur"].astype(np.int64)
         return out
 
-    return (
-        sessions.map_batches(to_bucket, batch_format="pandas")
-        .groupby("_gk")
-        .map_groups(stats_group, batch_format="pandas")
+    return coarse_map_groups(
+        sessions.map_batches(to_bucket, batch_format="pandas"),
+        "n_bucket",
+        stats_group,
+        n_buckets=n_buckets,
     )
 
 
@@ -1470,7 +1430,7 @@ def user_entropy(
     Scale shape (the user_top_event plan): each input block collapses to
     (user_id, event_type, cnt) integer partials through a pruned zero-copy
     projection, then ONE bounded coarse exchange on
-    ``splitmix64(user_id) % n_buckets``; per-bucket work is a vectorized
+    ``user_id`` (``coarse_map_groups``); per-bucket work is a vectorized
     pandas sum + per-user np.add.at reduction of the ``c*ln(c)`` terms in
     (user, type-ascending) order. Counts are integer-exact and
     order-independent; the only float is the pinned ``ln(n) - S/n``
@@ -1478,23 +1438,16 @@ def user_entropy(
     doc_entropy discipline — the SQL oracle's SUM(c*ln(c)) differs only
     in float summation order, ~1e-13 relative, absorbed). Null event
     types count as ONE distinct type exactly like SQL GROUP BY."""
-    from datafiller_ray.config import EngineValueError
-    from datafiller_ray.functions.hashing import splitmix64
-
-    if n_buckets < 1:
-        raise EngineValueError(f"n_buckets must be >= 1, got {n_buckets}")
+    from datafiller_ray.stages.exchange import coarse_map_groups
 
     def partial(t: pa.Table) -> pa.Table:
         slim = pa.table({"user_id": t["user_id"], "event_type": t["event_type"]})
         agg = slim.group_by(["user_id", "event_type"]).aggregate([([], "count_all")])
-        uid = agg["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        gk = splitmix64(uid.view(np.uint64)) % np.uint64(n_buckets)
         return pa.table(
             {
                 "user_id": agg["user_id"],
                 "event_type": agg["event_type"],
                 "cnt": agg["count_all"],
-                "gkey": pa.array(gk.astype(np.int64)),
             }
         )
 
@@ -1531,8 +1484,8 @@ def user_entropy(
     partials = events.map_batches(
         partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
-    return partials.groupby("gkey").map_groups(
-        entropy_per_user, batch_format="pandas"
+    return coarse_map_groups(
+        partials, "user_id", entropy_per_user, n_buckets=n_buckets
     )
 
 

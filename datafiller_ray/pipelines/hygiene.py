@@ -423,16 +423,13 @@ def _window_totals(n: int):
     return fn
 
 
-def _window_partial(n: int, n_buckets: int):
-    from datafiller_ray.functions.hashing import string_hash64
-
+def _window_partial(n: int):
     def fn(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.reset_index(drop=True)
         doc_pos, grams = word_grams(batch["text"], n)
         if len(grams) == 0:
             return pd.DataFrame(
                 {
-                    "gb": pd.Series([], dtype=np.int64),
                     "g": pd.Series([], dtype=object),
                     "doc_id": pd.Series([], dtype=np.int64),
                     "npos": pd.Series([], dtype=np.int64),
@@ -447,13 +444,8 @@ def _window_partial(n: int, n_buckets: int):
         # one partial row per (gram, doc) with its position count — a doc is
         # one input row, so partials never split a (gram, doc) pair
         agg = df.groupby(["g", "doc_id"], sort=False, as_index=False).size()
-        gb = (
-            string_hash64(agg["g"].to_numpy(dtype=object))
-            % np.uint64(n_buckets)
-        ).astype(np.int64)
         return pd.DataFrame(
             {
-                "gb": gb,
                 "g": agg["g"].to_numpy(dtype=object),
                 "doc_id": agg["doc_id"].to_numpy(np.int64),
                 "npos": agg["size"].to_numpy(np.int64),
@@ -508,11 +500,11 @@ def substring_dup(
 
     Plan: (1) a map-only pass counts each doc's window positions;
     (2) per-batch partials collapse to one (gram, doc, n_positions) row,
-    routed by a COARSE int64 gram-hash bucket key (``n_buckets`` groups
-    bound the exchange fan-in, the minhash-LSH precedent) — within a bucket
-    a vectorized pandas pass finds grams spanning >1 distinct doc (equality
-    on the gram STRING, the hash only routes) and credits each doc its
-    shared positions; (3) the two small (doc, count) streams merge through
+    routed by ``coarse_map_groups`` on the gram (``n_buckets`` coarse
+    groups bound the exchange fan-in, the minhash-LSH precedent) — within
+    a bucket a vectorized pandas pass finds grams spanning >1 distinct
+    doc (equality on the gram STRING, the hash only routes) and credits
+    each doc its shared positions; (3) the two small (doc, count) streams merge through
     one int-keyed groupby. The documents themselves never shuffle — only
     gram partials do, and per-batch dedup already collapsed repeats.
 
@@ -520,24 +512,22 @@ def substring_dup(
     banker's-rounded to 6 decimals like :func:`doc_repetition`.
     """
     from datafiller_ray.config import EngineValueError
+    from datafiller_ray.stages.exchange import coarse_map_groups, grouped_sum
 
     if n < 2:
         raise EngineValueError(f"n must be >= 2, got {n}")
-    if n_buckets < 1:
-        raise EngineValueError(f"n_buckets must be >= 1, got {n_buckets}")
 
     totals = documents.map_batches(
         _window_totals(n), batch_format="pandas", batch_size=4096
     )
-    shared = (
-        documents.map_batches(
-            # SMALL batches: gram explosion is the heavy stage (~2 ms/doc,
-            # ~50x fan-out) — a 4096-doc batch serializes the whole table
-            # into 2 tasks; 256 docs/task keeps every core busy
-            _window_partial(n, n_buckets), batch_format="pandas", batch_size=256
-        )
-        .groupby("gb")
-        .map_groups(_shared_in_bucket, batch_format="pandas")
+    grams = documents.map_batches(
+        # SMALL batches: gram explosion is the heavy stage (~2 ms/doc,
+        # ~50x fan-out) — a 4096-doc batch serializes the whole table
+        # into 2 tasks; 256 docs/task keeps every core busy
+        _window_partial(n), batch_format="pandas", batch_size=256
+    )
+    shared = coarse_map_groups(
+        grams, "g", _shared_in_bucket, n_buckets=n_buckets
     )
 
     def tag_totals(b: pd.DataFrame) -> pd.DataFrame:
@@ -551,8 +541,6 @@ def substring_dup(
             {"doc_id": b["doc_id"], "nw": np.zeros(len(b), np.int64),
              "ns": b["ns"]}
         )
-
-    from datafiller_ray.stages.exchange import grouped_sum
 
     merged = grouped_sum(
         totals.map_batches(tag_totals, batch_format="pandas")

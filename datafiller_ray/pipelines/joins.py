@@ -165,13 +165,15 @@ def _project_side(
     """Map a side onto the shared union schema (identical field order on
     both sides — ``union`` requires it). With ``key`` set and a ``_knull``
     field present, null join keys are sentinel-filled (see
-    :func:`_sentinel_filled_key`); ``drop_null_keys`` filters them out
-    entirely (inner-join fast path)."""
+    :func:`_sentinel_filled_key`); ``drop_null_keys`` filters null and NaN
+    keys out entirely (the rows never match: inner-join fast path)."""
     union_schema = pa.schema(union_fields)
 
     def project(t: pa.Table) -> pa.Table:
         if drop_null_keys and key is not None:
-            t = t.filter(pc.is_valid(t[src_map[key]]))
+            t = t.filter(
+                pc.invert(pc.is_null(t[src_map[key]], nan_is_null=True))
+            )
         cols = _union_columns(t, union_fields, src_map, side, key=key)
         return pa.Table.from_arrays(cols, schema=union_schema)
 
@@ -255,7 +257,7 @@ def asof_join(
         right, union_fields=union_fields,
         src_map={key: key, "_t": right_on or on, **{o: s for o, s in rp.items()}},
         side=1,
-        key=key, drop_null_keys=True,  # a null right key can never match
+        key=key, drop_null_keys=True,  # a null or NaN right key never matches
     )
     empty = _empty_like(out_schema)
     l_names, r_names = [f.name for f in l_fields], [f.name for f in r_fields]
@@ -265,16 +267,17 @@ def asof_join(
         g = g.combine_chunks()
         side = g["_side"].to_numpy(zero_copy_only=False)
         knull = g["_knull"].to_numpy(zero_copy_only=False).astype(bool)
+        nan = _nan_keys(g[key]) & ~knull
         parts = []
-        if knull.any():  # null left keys (how="left" only): never match
-            null_l = np.flatnonzero((side == 0) & knull)
-            if how == "left" and null_l.size:
+        # null and NaN left keys (how="left" only) never match; a NaN key
+        # keeps its NaN in the padded row
+        for unmatched, key_null in ((knull, True), (nan, False)):
+            rows = np.flatnonzero((side == 0) & unmatched)
+            if how == "left" and rows.size:
                 parts.append(
-                    _left_pad(g, null_l, l_names, r_fields, out_schema, key, True)
+                    _left_pad(g, rows, l_names, r_fields, out_schema, key, key_null)
                 )
-            l_rows = np.flatnonzero((side == 0) & ~knull)
-        else:
-            l_rows = np.flatnonzero(side == 0)
+        l_rows = np.flatnonzero((side == 0) & ~(knull | nan))
         if l_rows.size == 0:
             if not parts:
                 return empty
@@ -368,7 +371,7 @@ def range_join(
         right, union_fields=union_fields,
         src_map={key: key, "_lo": lo, "_hi": hi, **{o: s for o, s in rp.items()}},
         side=1,
-        key=key, drop_null_keys=True,  # a null right key can never match
+        key=key, drop_null_keys=True,  # a null or NaN right key never matches
     )
     empty = _empty_like(out_schema)
     l_names, r_names = [f.name for f in l_fields], [f.name for f in r_fields]
@@ -377,16 +380,17 @@ def range_join(
         g = g.combine_chunks()
         side = g["_side"].to_numpy(zero_copy_only=False)
         knull = g["_knull"].to_numpy(zero_copy_only=False).astype(bool)
+        nan = _nan_keys(g[key]) & ~knull
         parts = []
-        if knull.any():  # null left keys (how="left" only): never match
-            null_l = np.flatnonzero((side == 0) & knull)
-            if how == "left" and null_l.size:
+        # null and NaN left keys (how="left" only) never match; a NaN key
+        # keeps its NaN in the padded row
+        for unmatched, key_null in ((knull, True), (nan, False)):
+            rows = np.flatnonzero((side == 0) & unmatched)
+            if how == "left" and rows.size:
                 parts.append(
-                    _left_pad(g, null_l, l_names, r_fields, out_schema, key, True)
+                    _left_pad(g, rows, l_names, r_fields, out_schema, key, key_null)
                 )
-            l_rows = np.flatnonzero((side == 0) & ~knull)
-        else:
-            l_rows = np.flatnonzero(side == 0)
+        l_rows = np.flatnonzero((side == 0) & ~(knull | nan))
         if l_rows.size == 0:
             if not parts:
                 return empty

@@ -378,22 +378,13 @@ def dedup_sequences(
     import ray.data
 
     from datafiller_ray.config import EngineValueError
-    from datafiller_ray.functions.hashing import splitmix64
+    from datafiller_ray.stages.exchange import coarse_map_groups
 
     if n_buckets < 1:
         raise EngineValueError(f"n_buckets must be >= 1, got {n_buckets}")
 
     ds = ray.data.read_parquet(input_path)
-
-    def manifest_stage(t) -> pd.DataFrame:
-        m = _sequence_hash_table(t)
-        m["_gk"] = (
-            splitmix64(m["_h"].to_numpy(np.int64).view(np.uint64))
-            % np.uint64(n_buckets)
-        ).astype(np.int64)
-        return m
-
-    man = ds.map_batches(manifest_stage, batch_format="pyarrow")
+    man = ds.map_batches(_sequence_hash_table, batch_format="pyarrow")
 
     def split_bucket(g: pd.DataFrame) -> pd.DataFrame:
         dup = g["_h"].duplicated(keep=False)
@@ -412,8 +403,8 @@ def dedup_sequences(
         )
         return pd.concat([win, ch], ignore_index=True)
 
-    mixed = (
-        man.groupby("_gk").map_groups(split_bucket, batch_format="pandas")
+    mixed = coarse_map_groups(
+        man, "_h", split_bucket, n_buckets=n_buckets
     ).materialize()
     winners1 = mixed.map_batches(
         lambda df: df.loc[df["_is_winner"], ["doc_id", "source", "n_tok"]],

@@ -240,8 +240,12 @@ def zorder_layout(
     import ray.data
 
     from datafiller_ray.config import EngineValueError
-    from datafiller_ray.functions.hashing import splitmix64, string_hash64
-    from datafiller_ray.stages.exchange import grouped_agg, grouped_sum
+    from datafiller_ray.functions.hashing import string_hash64
+    from datafiller_ray.stages.exchange import (
+        coarse_map_groups,
+        grouped_agg,
+        grouped_sum,
+    )
     from datafiller_ray.stages.validate import extract_epoch_minute
 
     if n_files < 1:
@@ -321,13 +325,8 @@ def zorder_layout(
     n_total = int(cnt.sum())
     rank_ref = ray.put((starts, n_total))
 
-    def tag_gk(df: pd.DataFrame) -> pd.DataFrame:
-        cell = df["zv"].to_numpy(np.int64) // coarse_width
-        gk = splitmix64(cell.view(np.uint64)) % np.uint64(n_buckets)
-        out = df.copy()
-        out["_cell"] = cell
-        out["_gk"] = gk.astype(np.int64)
-        return out
+    def tag_cell(df: pd.DataFrame) -> pd.DataFrame:
+        return df.assign(_cell=df["zv"].to_numpy(np.int64) // coarse_width)
 
     def rank_files(g: pd.DataFrame) -> pd.DataFrame:
         st, n = ray.get(rank_ref)
@@ -357,9 +356,12 @@ def zorder_layout(
         return out
 
     stats = grouped_agg(
-        tagged.map_batches(tag_gk, batch_format="pandas")
-        .groupby("_gk")
-        .map_groups(rank_files, batch_format="pandas"),
+        coarse_map_groups(
+            tagged.map_batches(tag_cell, batch_format="pandas"),
+            "_cell",
+            rank_files,
+            n_buckets=n_buckets,
+        ),
         "file_id",
         {
             "n_rows": "sum",

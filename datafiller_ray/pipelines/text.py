@@ -18,6 +18,7 @@ import pyarrow as pa
 import ray.data
 
 from datafiller_ray.functions.hashing import splitmix64, string_hash64
+from datafiller_ray.stages.exchange import coarse_map_groups
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -660,10 +661,10 @@ class MinHasher:
 
 def _bucket_to_pairs(g: pd.DataFrame) -> pd.DataFrame:
     """Emit (bucket_min, member) candidate edges for EVERY (band, band_hash)
-    bucket inside this group, vectorized (the group key is the coarser
-    ``gkey``; per-bucket Python calls made this stage 20x slower than the
-    signature computation). Pairs against the bucket minimum are enough for
-    connected-component clustering without quadratic blowup."""
+    bucket inside this coarse group, vectorized (per-bucket Python calls
+    made this stage 20x slower than the signature computation). Pairs
+    against the bucket minimum are enough for connected-component
+    clustering without quadratic blowup."""
     df = g.sort_values(["band", "band_hash", "doc_id"])
     ids = df["doc_id"].to_numpy(np.int64)
     if ids.size == 0:
@@ -701,24 +702,10 @@ def minhash_near_dup(
         MinHasher, batch_format="pandas", concurrency=(1, 8), batch_size=1024
     )
 
-    # shuffle on a coarse int64 key (band, low bits of band_hash): every
-    # bucket lands wholly in one group, group count is bounded at
-    # BANDS x 256 = 4096 (enough parallelism, no per-bucket Python calls)
-    def add_gkey(batch: pd.DataFrame) -> "pa.Table":
-        import pyarrow as pa
-
-        batch = batch.copy()
-        batch["gkey"] = batch["band"].to_numpy(np.int64) * 256 + (
-            batch["band_hash"].to_numpy(np.int64) & 255
-        )
-        # arrow block out: the sort exchange moves zero-copy int columns
-        # instead of pickled pandas frames
-        return pa.Table.from_pandas(batch, preserve_index=False)
-
-    pairs = (
-        sigs.map_batches(add_gkey, batch_format="pandas")
-        .groupby("gkey")
-        .map_groups(_bucket_to_pairs, batch_format="pandas")
+    # every (band, band_hash) bucket lands wholly in one of 4096 coarse
+    # groups (enough parallelism, no per-bucket Python calls)
+    pairs = coarse_map_groups(
+        sigs, ["band", "band_hash"], _bucket_to_pairs, n_buckets=4096
     )
     # global dedup of the edge set: a pair colliding in several bands must
     # appear ONCE regardless of block layout (per-block dedup made the edge
@@ -844,9 +831,8 @@ def near_dup_clusters_distributed(
     def to_sym(batch: pd.DataFrame) -> pd.DataFrame:
         a = batch["doc_a"].to_numpy(np.int64)
         b = batch["doc_b"].to_numpy(np.int64)
-        node = np.concatenate([a, b])
         return pd.DataFrame(
-            {"node": node, "nbr": np.concatenate([b, a]), "gkey": node % G}
+            {"node": np.concatenate([a, b]), "nbr": np.concatenate([b, a])}
         )
 
     half_edges = verified_pairs.map_batches(
@@ -865,11 +851,9 @@ def near_dup_clusters_distributed(
         lab = np.minimum(m.index.to_numpy(np.int64), m.to_numpy(np.int64))
         return pd.DataFrame({"node": m.index.to_numpy(np.int64), "label": lab})
 
-    labels = (
-        half_edges.groupby("gkey")
-        .map_groups(init_labels, batch_format="pandas")
-        .materialize()
-    )
+    labels = coarse_map_groups(
+        half_edges, "node", init_labels, n_buckets=G
+    ).materialize()
 
     def forward(g: pd.DataFrame) -> pd.DataFrame:
         # label rows (nbr == -1 sentinel) rewrite the half-edge rows of the
@@ -906,7 +890,6 @@ def near_dup_clusters_distributed(
                 {
                     "node": b["node"].to_numpy(np.int64),
                     "nbr": np.full(len(b), -1, dtype=np.int64),
-                    "gkey": b["node"].to_numpy(np.int64) % G,
                     "label": b["label"].to_numpy(np.int64),
                 }
             ),
@@ -915,20 +898,12 @@ def near_dup_clusters_distributed(
         edges_tagged = half_edges.map_batches(
             lambda b: b.assign(label=np.int64(-1)), batch_format="pandas"
         )
-        msgs = (
-            edges_tagged.union(tagged)
-            .groupby("gkey")
-            .map_groups(forward, batch_format="pandas")
-            .map_batches(
-                lambda b: b.assign(gkey=b["node"].to_numpy(np.int64) % G),
-                batch_format="pandas",
-            )
+        msgs = coarse_map_groups(
+            edges_tagged.union(tagged), "node", forward, n_buckets=G
         )
-        labels = (
-            msgs.groupby("gkey")
-            .map_groups(min_label, batch_format="pandas")
-            .materialize()
-        )
+        labels = coarse_map_groups(
+            msgs, "node", min_label, n_buckets=G
+        ).materialize()
         cur_sum = int(labels.sum("label"))
         if prev_sum is not None and cur_sum == prev_sum:
             break

@@ -1,6 +1,10 @@
 """The coarse-key exchange: one key hash, one exchange, one grouped-aggregate
-plan. The joins, diffs and cross-sections exchange through it too; only a
-few int-keyed exchanges elsewhere still bucket ``splitmix64(key) % n``.
+plan. The joins, diffs, cross-sections and every per-bucket pipeline pass
+(events, corpus, text, ann, hygiene, packing, retention) exchange through
+it; no exchange elsewhere buckets ``splitmix64(key) % n``. Apart by design:
+the persisted bucket layouts (``checkpoint``, ``text_index``),
+``rollup.bucketed_map_groups`` and the ann block-nested-loop shard pairs,
+whose group key is the pair identity itself.
 
 Why: Ray's ``Aggregate`` plans ``DataContext.min_parallelism`` (default 200)
 reduce partitions regardless of data size; on a loaded box even a 21k-row
@@ -77,11 +81,17 @@ def coarse_map_groups(
     sees the group. Each ``fn`` call gets every row of the keys hashed to
     one bucket (all of them, in one table of ``batch_format``), so a key's
     rows never split across calls. The column name ``_gk`` is reserved."""
+    from ray.data.block import BlockAccessor
+
     keys = [keys] if isinstance(keys, str) else list(keys)
     if n_buckets < 1:
         raise EngineValueError(f"n_buckets must be >= 1, got {n_buckets}")
 
-    def add_bucket(t: "pa.Table") -> "pa.Table":
+    def add_bucket(block) -> "pa.Table":
+        # the block as it is, converted here: a pyarrow-format map over
+        # pandas blocks made minhash_near_dup 2-3 s slower (sf0.1, 4 Ray
+        # CPUs on one core)
+        t = BlockAccessor.for_block(block).to_arrow()
         if _GK in t.column_names:
             raise EngineValueError(f"column name {_GK!r} is reserved")
         gk = (key_hash(t, keys) % np.uint64(n_buckets)).astype(np.int64)
@@ -90,10 +100,13 @@ def coarse_map_groups(
     def run(g):
         if batch_format == "pyarrow":
             return fn(g.drop_columns([_GK]))
-        return fn(g.drop(columns=[_GK]))
+        # in place: ``drop`` copies every group (~0.45 ms a group, +2 s
+        # over minhash_near_dup's 4096 groups at sf0.1)
+        del g[_GK]
+        return fn(g)
 
     return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
+        ds.map_batches(add_bucket, batch_format=None, zero_copy_batch=True)
         .groupby(_GK)
         .map_groups(run, batch_format=batch_format)
     )

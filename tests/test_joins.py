@@ -887,6 +887,47 @@ def test_asof_range_join_null_keys_skewed(ray_session):
     assert (rj[rj["k"] == "h"]["name"] == "wh").all()
 
 
+@pytest.mark.parametrize("how", ["inner", "left"])
+@pytest.mark.parametrize("join", ["asof", "range"])
+def test_asof_range_join_nan_keys_never_match(ray_session, join, how):
+    """A NaN float key equals nothing, itself included (as in equi_join):
+    the NaN left row is dropped under 'inner' and padded with its NaN under
+    'left'; the NaN right row matches no one. Arrow inputs: a pandas NaN
+    would arrive as a null."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
+
+    nan = float("nan")
+    L = pa.table(
+        {"k": [1.0, nan, 2.0], "t": pa.array([10] * 3, pa.int64()),
+         "lv": pa.array([1, 2, 3], pa.int64())}
+    )
+    R = pa.table(
+        {"k": [1.0, nan, 2.0], "t": pa.array([5] * 3, pa.int64()),
+         "lo": pa.array([0] * 3, pa.int64()),
+         "hi": pa.array([100] * 3, pa.int64()),
+         "rv": pa.array([100, 200, 300], pa.int64())}
+    )
+    common = dict(
+        key="k", left_payload={"k": "k", "lv": "lv"},
+        right_payload={"rv": "rv"}, how=how,
+    )
+    left, right = ray.data.from_arrow(L), ray.data.from_arrow(R)
+    if join == "asof":
+        out = asof_join(left, right, on="t", **common)
+    else:
+        out = range_join(left, right, point="t", lo="lo", hi="hi", **common)
+    blocks = [b for b in ray.get(out.to_arrow_refs()) if b.num_rows]
+    out = pa.concat_tables(blocks).sort_by("lv")
+    rows = list(zip(out["lv"].to_pylist(), out["rv"].to_pylist()))
+    if how == "inner":
+        assert rows == [(1, 100), (3, 300)]
+    else:
+        assert rows == [(1, 100), (2, None), (3, 300)]
+        assert pc.is_nan(out["k"]).to_pylist() == [False, True, False]
+
+
 def test_salted_equi_join_block_layout_invariant(ray_session):
     """Salt depends only on hash(salt_by), never on block boundaries: the
     same input repartitioned arbitrarily yields the identical result —
