@@ -6,19 +6,22 @@ Two phases, each manifest-committed (state/lineage.py):
    bucketize + partial-aggregate, plus a ``bucket = hash(source) % B`` salt
    column, written once as Parquet partitioned by bucket. If the job dies
    later, this pass is never repeated.
-2. **buckets** — per bucket b: read only ``bucket=b`` partial rows (cheap,
-   column-pruned), run the columnar fill kernel (``stages/fill.py``
-   ``fill_tiers``: tier cascade, densify, gap fill) once per
-   sub-partition over all of its sources, write tier rows to a temp dir, one
-   Arrow table per tier, audit (row count + order-independent checksum),
-   atomically rename to ``tiers/bucket=b``, append the lineage record. A
-   resumed run skips every bucket already in the manifest.
+2. **buckets** — one plain Ray task per bucket b (:func:`_map_buckets`):
+   read only ``bucket=b`` partial rows (cheap, column-pruned), run the
+   columnar fill kernel (``stages/fill.py`` ``fill_tiers``: tier cascade,
+   densify, gap fill) once per sub-partition over all of its sources, write
+   tier rows to a staging dir beside ``tiers/``, one Arrow table per tier,
+   audit (row count + order-independent checksum), atomically rename to
+   ``tiers/bucket=b``, append the lineage record. A resumed run skips every
+   bucket already in the manifest.
 
 Incremental updates (:func:`run_incremental`) and update-log compaction
 (:func:`compact_updates`) share one Arrow fold of base + update partials
 (:func:`_fold_partial_inputs`) and one stale-bucket refresh
 (:func:`_refresh_stale_buckets`), which runs the same kernel once over a
-bucket's recomputed sources with the base run's tiers and retention.
+bucket's recomputed sources with the base run's tiers and retention. The
+finalize, refresh and compaction fold all launch their bucket tasks through
+:func:`_map_buckets`, and each logs one ``checkpoint bucket plan`` record.
 
 Bucket granularity is the checkpoint unit: B ~ cluster nodes keeps re-done
 work on failure to ~1/B of the finalize phase. Source-hash bucketing also
@@ -29,15 +32,18 @@ by corpus size; SURVEY.md §7 "ordering inside groups at scale").
 
 from __future__ import annotations
 
+import glob
+import logging
 import os
 import shutil
+import time
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pds
 
+import ray
 import ray.data
 
 from datafiller_ray.config import FillConfig, RetentionConfig
@@ -50,6 +56,8 @@ from datafiller_ray.stages.fill import (
     sorted_codes,
 )
 from datafiller_ray.stages.validate import PARTIAL_SCHEMA
+
+_log = logging.getLogger(__name__)
 
 
 def _cfg_snapshot(cfg: FillConfig) -> dict:
@@ -178,6 +186,77 @@ def _publish_rows(
     return out_rows.num_rows, checksum
 
 
+# Ray Data's map-task policy (ray/data/_internal/remote_fn.py): a task whose
+# worker dies is retried without limit; an exception it raises is not retried
+@ray.remote(max_retries=-1, scheduling_strategy="DEFAULT")
+def _bucket_task(fn, b: int) -> dict:
+    t0 = time.perf_counter()
+    record = fn(b)
+    return {"bucket": b, **record, "wall_sec": round(time.perf_counter() - t0, 3)}
+
+
+def _map_buckets(fn, ids) -> list:
+    """Run ``fn(b)`` once per bucket id as one plain Ray task and return its
+    records in the order of ``ids``, each a dict with ``bucket`` and the
+    task's ``wall_sec`` added. ``fn`` is put in the object store once.
+
+    A lost worker is retried, as Ray Data retries its map tasks; the bucket
+    functions are idempotent (stage, then rename over the bucket). An
+    exception raised by ``fn`` is not retried: it reaches the caller, as its
+    own type, once every task has settled, so no bucket task still writes
+    after this returns or raises. The collect is one small record per
+    bucket, so it is bounded by the run's ``n_buckets``."""
+    if not ids:
+        return []
+    fn_ref = ray.put(fn)
+    refs = [_bucket_task.remote(fn_ref, int(b)) for b in ids]
+    ray.wait(refs, num_returns=len(refs))
+    return ray.get(refs)
+
+
+def _log_bucket_plan(phase: str, records: list, skipped=(), healed=()) -> dict:
+    """Log one ``checkpoint bucket plan`` record for a bucket phase
+    (``finalize``, ``refresh`` or ``fold``) in ``record.plan``: the buckets
+    launched, those skipped as already committed, those healed (left stale
+    by an earlier update), the partial rows the tasks read and the longest
+    task's wall time. Returns the plan."""
+    plan = {
+        "phase": phase,
+        "launched": [r["bucket"] for r in records],
+        "skipped": sorted(skipped),
+        "healed": sorted(healed),
+        "rows_in": sum(r["rows_in"] for r in records),
+        "task_wall_max_s": max((r["wall_sec"] for r in records), default=0.0),
+    }
+    _log.info("checkpoint bucket plan: %s", plan, extra={"plan": plan})
+    return plan
+
+
+def _staging_dir(out_dir: str, b: int) -> str:
+    """An empty dir to stage bucket ``b``'s tier rows in before the rename
+    to ``tiers/bucket=b``, after removing what earlier attempts at ``b``
+    left behind. A retried task runs under a new pid, so a dead attempt's
+    dir outlives it. Staging lies beside ``tiers/``, not in it: pyarrow
+    skips only ``_``/``.`` names and DuckDB's hive reader skips none, so a
+    stale dir inside ``tiers/`` is read as tier rows. Older runs staged at
+    ``tiers/bucket=b.tmp-<pid>``; those are removed too."""
+    staging = os.path.join(out_dir, "_staging")
+    for stale in glob.glob(os.path.join(staging, f"bucket={b}.tmp-*")) + glob.glob(
+        os.path.join(out_dir, "tiers", f"bucket={b}.tmp-*")
+    ):
+        shutil.rmtree(stale, ignore_errors=True)
+    tmp = os.path.join(staging, f"bucket={b}.tmp-{os.getpid()}")
+    os.makedirs(tmp)
+    return tmp
+
+
+def _drop_empty_staging(out_dir: str) -> None:
+    try:
+        os.rmdir(os.path.join(out_dir, "_staging"))
+    except OSError:  # absent, or holding a failed attempt's dir
+        pass
+
+
 def run_checkpointed(
     input_path: str,
     out_dir: str,
@@ -262,7 +341,7 @@ def run_checkpointed(
     else:
         deferred = []
 
-    def finalize_bucket(batch: "pd.DataFrame") -> "pd.DataFrame":
+    def finalize_bucket(b: int) -> dict:
         """One task per bucket: per sub-partition, read its partials, run
         the fill kernel once over all of them, write-audit-publish.
 
@@ -270,78 +349,53 @@ def run_checkpointed(
         view; the driver appends the lineage record afterwards. A bucket
         renamed but not yet recorded is simply redone on resume —
         idempotent, since the rename replaces the directory wholesale."""
-        import time
-
-        rows = []
-        for b in batch["item"]:
-            b = int(b)
-            t0 = time.perf_counter()
-            bucket_path = os.path.join(partials_dir, f"bucket={b}")
-            out_bucket = os.path.join(tiers_dir, f"bucket={b}")
-            tmp = f"{out_bucket}.tmp-{os.getpid()}"
-            shutil.rmtree(tmp, ignore_errors=True)
-            if not os.path.isdir(bucket_path):
-                os.makedirs(tmp, exist_ok=True)
-                shutil.rmtree(out_bucket, ignore_errors=True)
-                os.replace(tmp, out_bucket)
-                rows.append(
-                    (b, 0, f"{0:016x}", out_bucket, "",
-                     round(time.perf_counter() - t0, 3))
-                )
-                continue
+        bucket_path = os.path.join(partials_dir, f"bucket={b}")
+        out_bucket = os.path.join(tiers_dir, f"bucket={b}")
+        tmp = _staging_dir(out_dir, b)
+        total_rows, rows_in, sub_checksums = 0, 0, []
+        has_partials = os.path.isdir(bucket_path)
+        if has_partials:
             # stream sub-partitions sequentially: peak task memory is one
             # sub (1/n_subbuckets of the bucket), not the whole bucket; the
             # order-independent checksum is a mod-2^64 sum so per-sub
             # checksums merge exactly. Layouts without sub dirs (older
             # runs being resumed) fall back to one whole-bucket chunk.
-            import glob as _glob
-
             sub_dirs = sorted(
-                _glob.glob(os.path.join(bucket_path, "sub=*"))
+                glob.glob(os.path.join(bucket_path, "sub=*"))
             ) or [bucket_path]
-            os.makedirs(tmp, exist_ok=True)
-            total_rows = 0
-            sub_checksums = []
             for si, sd in enumerate(sub_dirs):
-                tier_rows = fill_tiers(
-                    pds.dataset(sd).to_table(use_threads=False), cfg, tiers, retention
-                )
+                partial = pds.dataset(sd).to_table(use_threads=False)
+                rows_in += partial.num_rows
+                tier_rows = fill_tiers(partial, cfg, tiers, retention)
                 n_rows, cs = _publish_rows(tier_rows, tmp, emit, part=si)
                 total_rows += n_rows
                 sub_checksums.append(cs)
-            checksum = lineage.merge_checksums(sub_checksums)
-            shutil.rmtree(out_bucket, ignore_errors=True)
-            os.replace(tmp, out_bucket)
-            rows.append(
-                (b, total_rows, checksum, out_bucket, bucket_path,
-                 round(time.perf_counter() - t0, 3))
-            )
-        return pd.DataFrame(
-            rows,
-            columns=["bucket", "row_count", "checksum", "output", "input", "wall_sec"],
-        )
+        shutil.rmtree(out_bucket, ignore_errors=True)
+        os.replace(tmp, out_bucket)
+        return {
+            "row_count": total_rows,
+            "checksum": lineage.merge_checksums(sub_checksums),
+            "output": out_bucket,
+            "input": bucket_path if has_partials else "",
+            "rows_in": rows_in,
+        }
 
-    n_done = 0
-    if todo:
-        results = (
-            ray.data.from_items(todo)
-            .map_batches(finalize_bucket, batch_size=1, batch_format="pandas")
-            .to_pandas()
+    results = _map_buckets(finalize_bucket, todo)
+    _drop_empty_staging(out_dir)
+    _log_bucket_plan("finalize", results, skipped=skipped["buckets"])
+    for r in results:
+        lineage.append_record(
+            out_dir,
+            lineage.LineageRecord(
+                kind="bucket",
+                partition_id=r["bucket"],
+                row_count=r["row_count"],
+                checksum=r["checksum"],
+                output_path=r["output"],
+                input_fragments=[r["input"]] if r["input"] else [],
+                extra={"wall_sec": r["wall_sec"]},
+            ),
         )
-        for r in results.sort_values("bucket").itertuples():
-            lineage.append_record(
-                out_dir,
-                lineage.LineageRecord(
-                    kind="bucket",
-                    partition_id=int(r.bucket),
-                    row_count=int(r.row_count),
-                    checksum=r.checksum,
-                    output_path=r.output,
-                    input_fragments=[r.input] if r.input else [],
-                    extra={"wall_sec": float(r.wall_sec)},
-                ),
-            )
-            n_done += 1
     if deferred:
         raise RuntimeError(
             f"injected failure before buckets {deferred} (test hook)"
@@ -350,7 +404,7 @@ def run_checkpointed(
         "out_dir": out_dir,
         "skipped_partials": skipped["partials"],
         "skipped_buckets": skipped["buckets"],
-        "completed_buckets": n_done,
+        "completed_buckets": len(results),
         "manifest": [r.__dict__ for r in lineage.read_manifest(out_dir)],
     }
 
@@ -427,17 +481,20 @@ def _base_run(out_dir: str, records, fill: FillConfig | None = None):
     return meta, cfg
 
 
-def _refresh_stale_buckets(out_dir: str, records, meta: dict, cfg: FillConfig) -> int:
+def _refresh_stale_buckets(
+    out_dir: str, records, meta: dict, cfg: FillConfig, update_id: str | None = None
+) -> dict:
     """Refresh every bucket that some committed, not yet compacted update
-    touched without a ``bucket-update`` record for it; returns the count.
+    touched without a ``bucket-update`` record for it; returns the logged
+    bucket plan (:func:`_log_bucket_plan`). ``update_id`` names the update
+    being applied: its buckets already recorded count as skipped, and a
+    launched bucket is healed when another update left it stale.
 
     One task per bucket folds base + update partials, runs the fill kernel
     once over the recomputed sources with the base run's tiers and
     retention, splices the untouched sources' published rows and
     writes-audits-publishes. Shared by :func:`run_incremental` and
     :func:`compact_updates`."""
-    import glob
-
     tiers = tuple(meta.get("tiers", ("1m", "1h", "1d")))
     emit = meta.get("emit", "rows")
     windows = meta.get("retention")
@@ -492,108 +549,95 @@ def _refresh_stale_buckets(out_dir: str, records, meta: dict, cfg: FillConfig) -
     ):
         seq_of[uid] = len(seq_of) + 1
 
-    def refresh_bucket(batch: "pd.DataFrame") -> "pd.DataFrame":
+    def refresh_bucket(b: int) -> dict:
         """One task per touched bucket: fold base + update partials, run the
         fill kernel once over the touched sources, splice the untouched
         sources' published rows, write-audit-publish."""
-        import time
-
-        rows = []
-        for b in batch["item"]:
-            b = int(b)
-            t0 = time.perf_counter()
-            inputs = [
-                (d, seq)
-                for d, seq in [(os.path.join(partials_dir, f"bucket={b}"), 0)]
-                + [
-                    (
-                        os.path.join(u, f"bucket={b}"),
-                        seq_of[os.path.basename(u)],
-                    )
-                    for u in all_update_dirs
-                ]
-                if os.path.isdir(d)
+        inputs = [
+            (d, seq)
+            for d, seq in [(os.path.join(partials_dir, f"bucket={b}"), 0)]
+            + [
+                (os.path.join(u, f"bucket={b}"), seq_of[os.path.basename(u)])
+                for u in all_update_dirs
             ]
-            # sources touched by ANY committed update are recomputed (and,
-            # for the blob sink, recompressed); the rest splice through
-            # from the published rows untouched. The union — not just THIS
-            # update's sources — plus the stale_updates todo extension above
-            # makes the result independent of crash history: a bucket left
-            # stale by a prior crashed update is re-listed in todo and its
-            # sources recomputed from base + all updates here.
-            folded, touched_src = _fold_partial_inputs(inputs)
-            out_bucket = os.path.join(tiers_dir, f"bucket={b}")
-            # a missing published bucket (crash between the rmtree and the
-            # rename below on a previous run) falls back to recomputing
-            # every source from base + updates — never a partial publish
-            published = os.path.isdir(out_bucket)
-            keep = None
-            if published:
-                is_touched = pc.is_in(folded["source"], value_set=touched_src)
-                if not pc.all(is_touched).as_py():
-                    # every published source has partial rows here (a
-                    # fold drops rows only of touched sources), so the
-                    # published bucket is read only when some are untouched
-                    keep = pds.dataset(out_bucket, partitioning="hive").to_table(
-                        filter=~pc.field("source").isin(touched_src),
-                        use_threads=False,
-                    )
-                    folded = folded.filter(is_touched)
-            elif not folded.num_rows:
-                raise ValueError(
-                    f"bucket {b}: no partial rows survive the update and no "
-                    "published rows exist to splice — nothing to publish"
+            if os.path.isdir(d)
+        ]
+        # sources touched by ANY committed update are recomputed (and, for
+        # the blob sink, recompressed); the rest splice through from the
+        # published rows untouched. The union — not just THIS update's
+        # sources — plus the stale_updates todo extension above makes the
+        # result independent of crash history: a bucket left stale by a
+        # prior crashed update is re-listed in todo and its sources
+        # recomputed from base + all updates here.
+        folded, touched_src = _fold_partial_inputs(inputs)
+        out_bucket = os.path.join(tiers_dir, f"bucket={b}")
+        # a missing published bucket (crash between the rmtree and the
+        # rename below on a previous run) falls back to recomputing every
+        # source from base + updates — never a partial publish
+        keep = None
+        if os.path.isdir(out_bucket):
+            is_touched = pc.is_in(folded["source"], value_set=touched_src)
+            if not pc.all(is_touched).as_py():
+                # every published source has partial rows here (a fold
+                # drops rows only of touched sources), so the published
+                # bucket is read only when some are untouched
+                keep = pds.dataset(out_bucket, partitioning="hive").to_table(
+                    filter=~pc.field("source").isin(touched_src),
+                    use_threads=False,
                 )
-            tier_rows = fill_tiers(folded, cfg, tiers, retention)
-            tmp_b = f"{out_bucket}.tmp-{os.getpid()}"
-            shutil.rmtree(tmp_b, ignore_errors=True)
-            os.makedirs(tmp_b, exist_ok=True)
-            n_rows, checksum = _publish_rows(tier_rows, tmp_b, emit, keep_rows=keep)
-            shutil.rmtree(out_bucket, ignore_errors=True)
-            os.replace(tmp_b, out_bucket)
-            rows.append(
-                (b, n_rows, checksum, out_bucket,
-                 round(time.perf_counter() - t0, 3),
-                 pc.count_distinct(folded["source"]).as_py(),
-                 0 if keep is None else pc.count_distinct(keep["source"]).as_py(),
-                 folded.num_rows)
+                folded = folded.filter(is_touched)
+        elif not folded.num_rows:
+            raise ValueError(
+                f"bucket {b}: no partial rows survive the update and no "
+                "published rows exist to splice — nothing to publish"
             )
-        return pd.DataFrame(
-            rows, columns=["bucket", "row_count", "checksum", "output", "wall_sec",
-                           "sources_recomputed", "sources_spliced", "rows_in"]
-        )
+        tier_rows = fill_tiers(folded, cfg, tiers, retention)
+        tmp_b = _staging_dir(out_dir, b)
+        n_rows, checksum = _publish_rows(tier_rows, tmp_b, emit, keep_rows=keep)
+        shutil.rmtree(out_bucket, ignore_errors=True)
+        os.replace(tmp_b, out_bucket)
+        return {
+            "row_count": n_rows,
+            "checksum": checksum,
+            "output": out_bucket,
+            "sources_recomputed": pc.count_distinct(folded["source"]).as_py(),
+            "sources_spliced": (
+                0 if keep is None else pc.count_distinct(keep["source"]).as_py()
+            ),
+            "rows_in": folded.num_rows,
+        }
 
-    refreshed = 0
-    if todo:
-        results = (
-            ray.data.from_items(todo)
-            .map_batches(refresh_bucket, batch_size=1, batch_format="pandas")
-            .to_pandas()
-        )
-        for r in results.sort_values("bucket").itertuples():
-            # one record per outstanding (update, bucket) pair: the refresh
-            # settled them all, and recording each keeps healed buckets out
-            # of every future run's todo
-            for uid in sorted(stale_updates[int(r.bucket)]):
-                lineage.append_record(
-                    out_dir,
-                    lineage.LineageRecord(
-                        kind="bucket-update",
-                        partition_id=int(r.bucket),
-                        row_count=int(r.row_count),
-                        checksum=r.checksum,
-                        output_path=r.output,
-                        extra={
-                            "update_id": uid,
-                            "wall_sec": float(r.wall_sec),
-                            "sources_recomputed": int(r.sources_recomputed),
-                            "sources_spliced": int(r.sources_spliced),
-                            "rows_in": int(r.rows_in),
-                        },
-                    ),
-                )
-            refreshed += 1
-    return refreshed
+    results = _map_buckets(refresh_bucket, todo)
+    _drop_empty_staging(out_dir)
+    plan = _log_bucket_plan(
+        "refresh",
+        results,
+        skipped=bucket_done.get(update_id, ()),
+        healed=[b for b in todo if stale_updates[b] - {update_id}],
+    )
+    for r in results:
+        # one record per outstanding (update, bucket) pair: the refresh
+        # settled them all, and recording each keeps healed buckets out of
+        # every future run's todo
+        for uid in sorted(stale_updates[r["bucket"]]):
+            lineage.append_record(
+                out_dir,
+                lineage.LineageRecord(
+                    kind="bucket-update",
+                    partition_id=r["bucket"],
+                    row_count=r["row_count"],
+                    checksum=r["checksum"],
+                    output_path=r["output"],
+                    extra={
+                        "update_id": uid,
+                        "wall_sec": r["wall_sec"],
+                        "sources_recomputed": r["sources_recomputed"],
+                        "sources_spliced": r["sources_spliced"],
+                        "rows_in": r["rows_in"],
+                    },
+                ),
+            )
+    return plan
 
 
 def run_incremental(
@@ -640,8 +684,6 @@ def run_incremental(
     ``extra`` carries ``sources_recomputed``, ``sources_spliced`` and
     ``rows_in`` (partial rows fed to the kernel).
     """
-    import glob
-
     from datafiller_ray.functions.hashing import string_hash64
     from datafiller_ray.stages.validate import extract_epoch_minute
 
@@ -744,17 +786,12 @@ def run_incremental(
         int(os.path.basename(p).split("=", 1)[1])
         for p in glob.glob(os.path.join(update_dir, "bucket=*"))
     )
-    done = {
-        r.partition_id
-        for r in records
-        if r.kind == "bucket-update" and r.extra.get("update_id") == update_id
-    }
-    refreshed = _refresh_stale_buckets(out_dir, records, meta, cfg)
+    plan = _refresh_stale_buckets(out_dir, records, meta, cfg, update_id)
     return {
         "update_id": update_id,
         "touched_buckets": touched,
-        "refreshed_buckets": refreshed,
-        "skipped_buckets": sorted(done),
+        "refreshed_buckets": len(plan["launched"]),
+        "skipped_buckets": plan["skipped"],
     }
 
 
@@ -786,13 +823,11 @@ def compact_updates(out_dir: str) -> dict:
     Uncommitted staged dirs (a crashed ``run_incremental``) are left alone.
     Re-submitting a folded update remains a no-op (its id stays in the
     manifest)."""
-    import glob
-
     import pyarrow.parquet as pq
 
     records = lineage.read_manifest(out_dir)
     meta, cfg = _base_run(out_dir, records)
-    refreshed = _refresh_stale_buckets(out_dir, records, meta, cfg)
+    refreshed = len(_refresh_stale_buckets(out_dir, records, meta, cfg)["launched"])
     if refreshed:
         records = lineage.read_manifest(out_dir)
     base_dir, folded = _resolve_partials(out_dir, records)
@@ -827,61 +862,54 @@ def compact_updates(out_dir: str) -> dict:
         }
     )
 
-    def fold_bucket(batch: "pd.DataFrame") -> "pd.DataFrame":
-        rows = []
-        for b in batch["item"]:
-            b = int(b)
-            inputs = [
-                (d, seq)
-                for d, seq in [(os.path.join(base_dir, f"bucket={b}"), 0)]
-                + [
-                    (os.path.join(updates_root, u, f"bucket={b}"), i + 1)
-                    for i, u in enumerate(live)
-                ]
-                if os.path.isdir(d)
+    def fold_bucket(b: int) -> dict:
+        inputs = [
+            (d, seq)
+            for d, seq in [(os.path.join(base_dir, f"bucket={b}"), 0)]
+            + [
+                (os.path.join(updates_root, u, f"bucket={b}"), i + 1)
+                for i, u in enumerate(live)
             ]
-            t, _ = _fold_partial_inputs(inputs)
-            code, uniques = sorted_codes(t["source"])
-            skey, ts = t["skey"].to_numpy(), t["bucket_ts"].to_numpy()
-            order = np.lexsort((ts, skey, code))
-            starts = segment_starts(code[order], skey[order], ts[order])
-            count, sums, mins, maxs = reduce_segments(
-                starts, *(t[c].to_numpy()[order] for c in ("count", "sum", "min", "max"))
-            )
-            kept = count > 0
-            first = order[starts][kept]
-            agg = pa.table(
-                {
-                    "source": pa.array(uniques, pa.string()).take(
-                        pa.array(code[first], pa.int64())
-                    ),
-                    "skey": skey[first],
-                    "bucket_ts": ts[first],
-                    "count": count[kept],
-                    "sum": sums[kept],
-                    "min": mins[kept],
-                    "max": maxs[kept],
-                },
-                schema=PARTIAL_SCHEMA,
-            )
-            bdir = os.path.join(tmp_root, f"bucket={b}")
-            os.makedirs(bdir, exist_ok=True)
-            pq.write_table(agg, os.path.join(bdir, "part-0.parquet"))
-            rows.append((b, agg.num_rows))
-        return pd.DataFrame(rows, columns=["bucket", "row_count"])
+            if os.path.isdir(d)
+        ]
+        t, _ = _fold_partial_inputs(inputs)
+        code, uniques = sorted_codes(t["source"])
+        skey, ts = t["skey"].to_numpy(), t["bucket_ts"].to_numpy()
+        order = np.lexsort((ts, skey, code))
+        starts = segment_starts(code[order], skey[order], ts[order])
+        count, sums, mins, maxs = reduce_segments(
+            starts, *(t[c].to_numpy()[order] for c in ("count", "sum", "min", "max"))
+        )
+        kept = count > 0
+        first = order[starts][kept]
+        agg = pa.table(
+            {
+                "source": pa.array(uniques, pa.string()).take(
+                    pa.array(code[first], pa.int64())
+                ),
+                "skey": skey[first],
+                "bucket_ts": ts[first],
+                "count": count[kept],
+                "sum": sums[kept],
+                "min": mins[kept],
+                "max": maxs[kept],
+            },
+            schema=PARTIAL_SCHEMA,
+        )
+        bdir = os.path.join(tmp_root, f"bucket={b}")
+        os.makedirs(bdir, exist_ok=True)
+        pq.write_table(agg, os.path.join(bdir, "part-0.parquet"))
+        return {"row_count": agg.num_rows, "rows_in": t.num_rows}
 
-    results = (
-        ray.data.from_items(buckets)
-        .map_batches(fold_bucket, batch_size=1, batch_format="pandas")
-        .to_pandas()
-    )
+    results = _map_buckets(fold_bucket, buckets)
+    _log_bucket_plan("fold", results)
     os.replace(tmp_root, epoch_dir)
     lineage.append_record(
         out_dir,
         lineage.LineageRecord(
             kind="partials-compact",
             partition_id=-1,
-            row_count=int(results["row_count"].sum()),
+            row_count=sum(r["row_count"] for r in results),
             checksum="",
             output_path=epoch_dir,
             extra={"epoch": n_epochs + 1, "folded": sorted(folded | set(live))},

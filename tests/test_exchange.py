@@ -1,6 +1,8 @@
 """The coarse-key exchange (stages/exchange.py): one dtype-stable key hash,
 ``coarse_map_groups`` and the grouped-aggregate plan on top of it."""
 
+import re
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -309,3 +311,27 @@ def test_no_hand_written_coarse_exchange():
     assert hits == _COARSE_EXCHANGE_ALLOWED, (
         "route the exchange through stages.exchange.coarse_map_groups"
     )
+
+
+# a map_batches call with batch_size=1 (arguments may hold one level of
+# parentheses)
+_ONE_ROW_MAP = re.compile(
+    r"\.map_batches\((?:[^()]|\([^()]*\))*?\bbatch_size\s*=\s*1\b", re.S
+)
+
+
+def test_no_from_items_task_launcher():
+    """A ``from_items(ids)`` dataset mapped with ``batch_size=1`` starts a
+    streaming executor to launch one task per id; plain Ray tasks do that
+    (pipelines/checkpoint._map_buckets)."""
+    from pathlib import Path
+
+    import datafiller_ray
+
+    root = Path(datafiller_ray.__file__).parent
+    hits = [
+        path.relative_to(root).as_posix()
+        for path in sorted(root.rglob("*.py"))
+        if "from_items(" in (text := path.read_text()) and _ONE_ROW_MAP.search(text)
+    ]
+    assert hits == [], "launch one task per item with ray.remote, not Ray Data"
