@@ -6,7 +6,7 @@ Two phases, each manifest-committed (state/lineage.py):
    bucketize + partial-aggregate, plus a ``bucket = hash(source) % B`` salt
    column, written once as Parquet partitioned by bucket. If the job dies
    later, this pass is never repeated.
-2. **buckets** — one plain Ray task per bucket b (:func:`_map_buckets`):
+2. **buckets** — one plain Ray task per bucket b (:func:`_map_tasks`):
    read only ``bucket=b`` partial rows (cheap, column-pruned), run the
    columnar fill kernel (``stages/fill.py`` ``fill_tiers``: tier cascade,
    densify, gap fill) once per sub-partition over all of its sources, write
@@ -19,9 +19,13 @@ Incremental updates (:func:`run_incremental`) and update-log compaction
 (:func:`compact_updates`) share one Arrow fold of base + update partials
 (:func:`_fold_partial_inputs`) and one stale-bucket refresh
 (:func:`_refresh_stale_buckets`), which runs the same kernel once over a
-bucket's recomputed sources with the base run's tiers and retention. The
-finalize, refresh and compaction fold all launch their bucket tasks through
-:func:`_map_buckets`, and each logs one ``checkpoint bucket plan`` record.
+bucket's recomputed sources with the base run's tiers and retention. An
+update is staged by one task per update file (or Dataset block) that reads,
+validates, partially aggregates, buckets and writes it — no Ray Data
+executor starts per update. The stage, finalize, refresh and compaction
+fold all launch their tasks through :func:`_map_tasks`, and each logs one
+``checkpoint bucket plan`` record. Every bucket phase first sweeps the
+staging dirs dead attempts left at any bucket.
 
 Bucket granularity is the checkpoint unit: B ~ cluster nodes keeps re-done
 work on failure to ~1/B of the finalize phase. Source-hash bucketing also
@@ -47,7 +51,11 @@ import ray
 import ray.data
 
 from datafiller_ray.config import FillConfig, RetentionConfig
-from datafiller_ray.pipelines.rollup import partial_aggregates
+from datafiller_ray.pipelines.rollup import (
+    input_columns,
+    partial_aggregates,
+    require_columns,
+)
 from datafiller_ray.state import lineage
 from datafiller_ray.stages.fill import (
     fill_tiers,
@@ -189,40 +197,44 @@ def _publish_rows(
 # Ray Data's map-task policy (ray/data/_internal/remote_fn.py): a task whose
 # worker dies is retried without limit; an exception it raises is not retried
 @ray.remote(max_retries=-1, scheduling_strategy="DEFAULT")
-def _bucket_task(fn, b: int) -> dict:
+def _task(fn, i: int) -> dict:
     t0 = time.perf_counter()
-    record = fn(b)
-    return {"bucket": b, **record, "wall_sec": round(time.perf_counter() - t0, 3)}
+    record = fn(i)
+    return {"id": i, **record, "wall_sec": round(time.perf_counter() - t0, 3)}
 
 
-def _map_buckets(fn, ids) -> list:
-    """Run ``fn(b)`` once per bucket id as one plain Ray task and return its
-    records in the order of ``ids``, each a dict with ``bucket`` and the
-    task's ``wall_sec`` added. ``fn`` is put in the object store once.
+def _map_tasks(fn, ids) -> list:
+    """Run ``fn(i)`` once per id (a bucket, or an update's work item) as one
+    plain Ray task and return its records in the order of ``ids``, each a
+    dict with ``id`` and the task's ``wall_sec`` added. ``fn`` is put in the
+    object store once.
 
-    A lost worker is retried, as Ray Data retries its map tasks; the bucket
-    functions are idempotent (stage, then rename over the bucket). An
-    exception raised by ``fn`` is not retried: it reaches the caller, as its
-    own type, once every task has settled, so no bucket task still writes
-    after this returns or raises. The collect is one small record per
-    bucket, so it is bounded by the run's ``n_buckets``."""
+    A lost worker is retried, as Ray Data retries its map tasks; the task
+    functions are idempotent (stage, then rename over the bucket; or write
+    one named file). An exception raised by ``fn`` is not retried: it
+    reaches the caller, as its own type, once every task has settled, so no
+    task still writes after this returns or raises. The collect is one
+    small record per id, so it is bounded by the run's ``n_buckets`` or the
+    update's file or block count."""
     if not ids:
         return []
     fn_ref = ray.put(fn)
-    refs = [_bucket_task.remote(fn_ref, int(b)) for b in ids]
+    refs = [_task.remote(fn_ref, int(i)) for i in ids]
     ray.wait(refs, num_returns=len(refs))
     return ray.get(refs)
 
 
 def _log_bucket_plan(phase: str, records: list, skipped=(), healed=()) -> dict:
-    """Log one ``checkpoint bucket plan`` record for a bucket phase
-    (``finalize``, ``refresh`` or ``fold``) in ``record.plan``: the buckets
-    launched, those skipped as already committed, those healed (left stale
-    by an earlier update), the partial rows the tasks read and the longest
-    task's wall time. Returns the plan."""
+    """Log one ``checkpoint bucket plan`` record for a phase in
+    ``record.plan``: the ids launched, those skipped as already committed,
+    those healed (left stale by an earlier update), the rows the tasks read
+    and the longest task's wall time. The bucket phases (``finalize``,
+    ``refresh`` and ``fold``) launch buckets and read partial rows;
+    ``stage`` launches one task per update file or block and reads its
+    input rows. Returns the plan."""
     plan = {
         "phase": phase,
-        "launched": [r["bucket"] for r in records],
+        "launched": [r["id"] for r in records],
         "skipped": sorted(skipped),
         "healed": sorted(healed),
         "rows_in": sum(r["rows_in"] for r in records),
@@ -232,20 +244,27 @@ def _log_bucket_plan(phase: str, records: list, skipped=(), healed=()) -> dict:
     return plan
 
 
+def _sweep_staging(out_dir: str, b="*") -> None:
+    """Remove what dead attempts at bucket ``b`` (default: every bucket)
+    left staged. Staging lies beside ``tiers/``, not in it: pyarrow skips
+    only ``_``/``.`` names and DuckDB's hive reader skips none, so a stale
+    dir inside ``tiers/`` is read as tier rows. Older runs staged at
+    ``tiers/bucket=b.tmp-<pid>``; those are removed too. Each bucket phase
+    sweeps every bucket when it starts, so a stale dir does not outlive a
+    run that leaves its bucket alone."""
+    for stale in glob.glob(
+        os.path.join(out_dir, "_staging", f"bucket={b}.tmp-*")
+    ) + glob.glob(os.path.join(out_dir, "tiers", f"bucket={b}.tmp-*")):
+        shutil.rmtree(stale, ignore_errors=True)
+
+
 def _staging_dir(out_dir: str, b: int) -> str:
     """An empty dir to stage bucket ``b``'s tier rows in before the rename
     to ``tiers/bucket=b``, after removing what earlier attempts at ``b``
-    left behind. A retried task runs under a new pid, so a dead attempt's
-    dir outlives it. Staging lies beside ``tiers/``, not in it: pyarrow
-    skips only ``_``/``.`` names and DuckDB's hive reader skips none, so a
-    stale dir inside ``tiers/`` is read as tier rows. Older runs staged at
-    ``tiers/bucket=b.tmp-<pid>``; those are removed too."""
-    staging = os.path.join(out_dir, "_staging")
-    for stale in glob.glob(os.path.join(staging, f"bucket={b}.tmp-*")) + glob.glob(
-        os.path.join(out_dir, "tiers", f"bucket={b}.tmp-*")
-    ):
-        shutil.rmtree(stale, ignore_errors=True)
-    tmp = os.path.join(staging, f"bucket={b}.tmp-{os.getpid()}")
+    left behind: a retried task runs under a new pid, so a dead attempt's
+    dir outlives it."""
+    _sweep_staging(out_dir, b)
+    tmp = os.path.join(out_dir, "_staging", f"bucket={b}.tmp-{os.getpid()}")
     os.makedirs(tmp)
     return tmp
 
@@ -380,7 +399,8 @@ def run_checkpointed(
             "rows_in": rows_in,
         }
 
-    results = _map_buckets(finalize_bucket, todo)
+    _sweep_staging(out_dir)
+    results = _map_tasks(finalize_bucket, todo)
     _drop_empty_staging(out_dir)
     _log_bucket_plan("finalize", results, skipped=skipped["buckets"])
     for r in results:
@@ -388,7 +408,7 @@ def run_checkpointed(
             out_dir,
             lineage.LineageRecord(
                 kind="bucket",
-                partition_id=r["bucket"],
+                partition_id=r["id"],
                 row_count=r["row_count"],
                 checksum=r["checksum"],
                 output_path=r["output"],
@@ -501,6 +521,7 @@ def _refresh_stale_buckets(
     retention = None if windows is None else RetentionConfig(
         {t: tuple(b) for t, b in windows.items()}
     )
+    _sweep_staging(out_dir)
     partials_dir, folded_ids = _resolve_partials(out_dir, records)
     updates_root = os.path.join(out_dir, "partials_updates")
     tiers_dir = os.path.join(out_dir, "tiers")
@@ -607,7 +628,7 @@ def _refresh_stale_buckets(
             "rows_in": folded.num_rows,
         }
 
-    results = _map_buckets(refresh_bucket, todo)
+    results = _map_tasks(refresh_bucket, todo)
     _drop_empty_staging(out_dir)
     plan = _log_bucket_plan(
         "refresh",
@@ -619,12 +640,12 @@ def _refresh_stale_buckets(
         # one record per outstanding (update, bucket) pair: the refresh
         # settled them all, and recording each keeps healed buckets out of
         # every future run's todo
-        for uid in sorted(stale_updates[r["bucket"]]):
+        for uid in sorted(stale_updates[r["id"]]):
             lineage.append_record(
                 out_dir,
                 lineage.LineageRecord(
                     kind="bucket-update",
-                    partition_id=r["bucket"],
+                    partition_id=r["id"],
                     row_count=r["row_count"],
                     checksum=r["checksum"],
                     output_path=r["output"],
@@ -674,18 +695,32 @@ def run_incremental(
     existing add-only outputs are unaffected — their update ids and
     recompute results are bit-identical to the pre-upsert engine.
 
+    ``new_input`` and ``deletes`` are each a Parquet path (a file, a
+    directory or a list of files) or a ``ray.data.Dataset``.
+
     Incremental cost is O(new data) for the heavy pass plus O(touched
-    buckets) for finalize — untouched buckets are never read. Within a
-    touched bucket, one task folds the partials in Arrow, runs the fill
-    kernel once over the recomputed sources and reads the published rows
-    only to splice untouched sources (not at all when every source is
-    touched). The kernel runs with the base run's tiers and ``retention``
-    (both in the ``partials`` record). Each ``bucket-update`` record's
-    ``extra`` carries ``sources_recomputed``, ``sources_spliced`` and
-    ``rows_in`` (partial rows fed to the kernel).
+    buckets) for finalize — untouched buckets are never read. Staging is
+    one plain Ray task per update file (a Dataset: per block) and per
+    deletes file, with no Ray Data executor: it reads the file, validates
+    and partially aggregates it (or makes its tombstones), splits the rows
+    by bucket and writes them under ``partials_updates/staging.tmp``. A
+    task holds one whole file or block in memory, as Ray Data's
+    one-block-per-file read of the base pass does; split a large update
+    into several files to bound it. Within a touched bucket, one task folds
+    the partials in Arrow, runs the fill kernel once over the recomputed
+    sources and reads the published rows only to splice untouched sources
+    (not at all when every source is touched). The kernel runs with the
+    base run's tiers and ``retention`` (both in the ``partials`` record).
+    Each ``bucket-update`` record's ``extra`` carries
+    ``sources_recomputed``, ``sources_spliced`` and ``rows_in`` (partial
+    rows fed to the kernel). Staging logs a ``stage`` phase ``checkpoint
+    bucket plan`` record: one launched id per task, and the input rows
+    read as ``rows_in``. A failed stage leaves no staged rows behind.
     """
+    import pyarrow.parquet as pq
+
     from datafiller_ray.functions.hashing import string_hash64
-    from datafiller_ray.stages.validate import extract_epoch_minute
+    from datafiller_ray.stages.validate import extract_epoch_minute, make_partial_agg_fn
 
     if mode not in ("add", "replace"):
         raise ValueError(f"mode must be 'add' or 'replace', got {mode!r}")
@@ -728,59 +763,86 @@ def run_incremental(
             }
         )
 
-    staged = []
-    if new_input is not None:
-        staged.append(
-            partial_aggregates(new_input, check_tokens=check_tokens).map_batches(
-                add_op, batch_format="pyarrow"
+    partial_agg = make_partial_agg_fn(check_tokens=check_tokens)
+    # work items (file path or Arrow block ref, columns read, staging fn):
+    # the partials of an update file or block are those of the base pass,
+    # which reads one block per file
+    items = []
+    for x, cols, fn in (
+        (new_input, input_columns(check_tokens), lambda t: add_op(partial_agg(t))),
+        (deletes, ["doc_id", "source"], tombstones),
+    ):
+        if x is None:
+            continue
+        if isinstance(x, ray.data.Dataset):
+            srcs = x.to_arrow_refs()
+        else:
+            d = pds.dataset(x)
+            require_columns(d.schema.names, cols)
+            srcs = d.files
+        items += [(src, cols, fn) for src in srcs]
+
+    def stage(i: int) -> dict:
+        """One task per work item: read, stage, split by bucket and write
+        ``staging.tmp/bucket=B/part-<i>.parquet``, as a hive
+        ``write_parquet`` partitioned by bucket lays them out."""
+        src, cols, fn = items[i]
+        t = (
+            ray.get(src)
+            if isinstance(src, ray.ObjectRef)
+            else pq.read_table(src, columns=cols, use_threads=False)
+        )
+        rows = _add_bucket(n_buckets)(fn(t))
+        bucket = rows["bucket"]
+        rows = rows.drop_columns(["bucket"])
+        for b in pc.unique(bucket).to_pylist():
+            bdir = os.path.join(tmp, f"bucket={b}")
+            os.makedirs(bdir, exist_ok=True)
+            pq.write_table(
+                rows.filter(pc.equal(bucket, b)),
+                os.path.join(bdir, f"part-{i}.parquet"),
             )
+        return {"rows_in": t.num_rows}
+
+    try:
+        _log_bucket_plan("stage", _map_tasks(stage, range(len(items))))
+        audit = pds.dataset(tmp, partitioning="hive").to_table(
+            columns=["source", "bucket_ts", "count", "sum", "op"]
         )
-    if deletes is not None:
-        dds = (
-            deletes
-            if isinstance(deletes, ray.data.Dataset)
-            else ray.data.read_parquet(deletes, columns=["doc_id", "source"])
+        if pc.max(audit["op"]).as_py() == 0:
+            # pure-add updates hash exactly as the pre-upsert engine did, so
+            # previously committed update ids stay recognized (idempotency)
+            audit = audit.drop_columns(["op"])
+        update_id = lineage.rows_checksum(
+            {c: audit[c].to_numpy(zero_copy_only=False) for c in audit.column_names}
         )
-        staged.append(dds.map_batches(tombstones, batch_format="pyarrow"))
-    partials = staged[0] if len(staged) == 1 else staged[0].union(*staged[1:])
-    partials = partials.map_batches(_add_bucket(n_buckets), batch_format="pyarrow")
-    partials.write_parquet(tmp, partition_cols=["bucket"])
-    audit = pds.dataset(tmp, partitioning="hive").to_table(
-        columns=["source", "bucket_ts", "count", "sum", "op"]
-    )
-    if pc.max(audit["op"]).as_py() == 0:
-        # pure-add updates hash exactly as the pre-upsert engine did, so
-        # previously committed update ids stay recognized (idempotency)
-        audit = audit.drop_columns(["op"])
-    update_id = lineage.rows_checksum(
-        {c: audit[c].to_numpy(zero_copy_only=False) for c in audit.column_names}
-    )
-    update_dir = os.path.join(updates_root, update_id)
-    committed_updates = {
-        r.extra.get("update_id") for r in records if r.kind == "update-partials"
-    }
-    if update_id in committed_updates:
+        update_dir = os.path.join(updates_root, update_id)
+        committed_updates = {
+            r.extra.get("update_id") for r in records if r.kind == "update-partials"
+        }
+        if update_id not in committed_updates:
+            shutil.rmtree(update_dir, ignore_errors=True)
+            os.replace(tmp, update_dir)
+            lineage.append_record(
+                out_dir,
+                lineage.LineageRecord(
+                    kind="update-partials",
+                    partition_id=-1,
+                    row_count=audit.num_rows,
+                    checksum=update_id,
+                    output_path=update_dir,
+                    input_fragments=[
+                        str(x)
+                        for x in (new_input, deletes)
+                        if x is not None and isinstance(x, str)
+                    ],
+                    extra={"update_id": update_id, "mode": mode},
+                ),
+            )
+            records = lineage.read_manifest(out_dir)
+    finally:
+        # a re-submitted update's stage, or what a failed stage left
         shutil.rmtree(tmp, ignore_errors=True)
-    else:
-        shutil.rmtree(update_dir, ignore_errors=True)
-        os.replace(tmp, update_dir)
-        lineage.append_record(
-            out_dir,
-            lineage.LineageRecord(
-                kind="update-partials",
-                partition_id=-1,
-                row_count=audit.num_rows,
-                checksum=update_id,
-                output_path=update_dir,
-                input_fragments=[
-                    str(x)
-                    for x in (new_input, deletes)
-                    if x is not None and isinstance(x, str)
-                ],
-                extra={"update_id": update_id, "mode": mode},
-            ),
-        )
-        records = lineage.read_manifest(out_dir)
 
     touched = sorted(
         int(os.path.basename(p).split("=", 1)[1])
@@ -901,7 +963,7 @@ def compact_updates(out_dir: str) -> dict:
         pq.write_table(agg, os.path.join(bdir, "part-0.parquet"))
         return {"row_count": agg.num_rows, "rows_in": t.num_rows}
 
-    results = _map_buckets(fold_bucket, buckets)
+    results = _map_tasks(fold_bucket, buckets)
     _log_bucket_plan("fold", results)
     os.replace(tmp_root, epoch_dir)
     lineage.append_record(

@@ -52,6 +52,12 @@ INPUT_COLUMNS = ["doc_id", "tokens", "n_tok", "source"]
 _log = logging.getLogger(__name__)
 
 
+def input_columns(with_tokens: bool = True) -> list[str]:
+    """The contract columns a read keeps: without ``tokens`` when the token
+    invariant is not being checked."""
+    return INPUT_COLUMNS if with_tokens else ["doc_id", "n_tok", "source"]
+
+
 def read_input(
     input_path: str | list[str],
     *,
@@ -77,7 +83,7 @@ def read_input(
     Ray's reader plans it) and ``fused`` (one block per file)."""
     from datafiller_ray.config import EngineValueError
 
-    cols = INPUT_COLUMNS if with_tokens else ["doc_id", "n_tok", "source"]
+    cols = input_columns(with_tokens)
     # in-memory containers (the reference accepts ndarray / pandas / polars,
     # multivariate/imputer.py:864-870, 288-342, _polars.py:74-131 — the
     # engine analogues are pandas / polars / pyarrow in-memory tables)
@@ -89,18 +95,10 @@ def read_input(
         import pyarrow as pa
 
         if isinstance(obj, pa.Table):
-            missing = [c for c in cols if c not in obj.column_names]
-            if missing:
-                raise EngineValueError(
-                    f"input table missing contract columns: {missing}"
-                )
+            require_columns(obj.column_names, cols)
             return ray.data.from_arrow(obj.select(cols))
         if isinstance(obj, pd.DataFrame):
-            missing = [c for c in cols if c not in obj.columns]
-            if missing:
-                raise EngineValueError(
-                    f"input table missing contract columns: {missing}"
-                )
+            require_columns(obj.columns, cols)
             return ray.data.from_pandas(obj[cols])
         raise EngineValueError(
             f"unsupported input container {type(obj).__name__}"
@@ -137,11 +135,7 @@ def read_input(
     # (otherwise the pruned read surfaces a raw KeyError inside read tasks)
     info = _parquet_info(input_path)
     if info is not None:
-        missing = [c for c in cols if c not in info[0].names]
-        if missing:
-            raise EngineValueError(
-                f"input table missing contract columns: {missing}"
-            )
+        require_columns(info[0].names, cols)
     files = info[1] if info is not None else None
     fused = block_per_file and bool(files)
     scan = {"files": files, "fused": fused}
@@ -149,6 +143,16 @@ def read_input(
     return ray.data.read_parquet(
         input_path, columns=cols, override_num_blocks=files if fused else None
     )
+
+
+def require_columns(names, cols) -> None:
+    """Raise ``EngineValueError`` naming the contract columns ``cols`` that
+    a table with column ``names`` lacks."""
+    from datafiller_ray.config import EngineValueError
+
+    missing = [c for c in cols if c not in names]
+    if missing:
+        raise EngineValueError(f"input table missing contract columns: {missing}")
 
 
 def _parquet_info(input_path) -> "tuple[pa.Schema, int] | None":

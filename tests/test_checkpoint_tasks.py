@@ -1,6 +1,6 @@
-"""Checkpoint bucket tasks: the one launcher behind the finalize, refresh
-and compaction-fold phases (``_map_buckets``), the plan record each phase
-logs, and the staging dirs a bucket task writes before its rename."""
+"""Checkpoint tasks: the one launcher behind the update staging, finalize,
+refresh and compaction-fold phases (``_map_tasks``), the plan record each
+phase logs, and the staging dirs a task writes before its rename."""
 
 import glob
 import json
@@ -15,7 +15,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
-from datafiller_ray.config import FillConfig
+from datafiller_ray.config import EngineValueError, FillConfig
 from datafiller_ray.fixtures import generate_input_table
 from datafiller_ray.pipelines import checkpoint
 from datafiller_ray.pipelines.checkpoint import (
@@ -103,6 +103,29 @@ def test_stale_staging_dirs_are_swept(ray_session, inputs, tmp_path):
         _norm(read_tier_output(out).to_pandas()), _oracle(inputs["full"])
     )
 
+    # stale dirs of buckets no task launches: a replace of one source's
+    # first minutes, with their full content, refreshes its bucket alone
+    for b in range(4):
+        _plant_stale(out, b)
+    full = pq.read_table(inputs["full"])
+    src = full["source"][0]
+    minutes = pc.unique(
+        extract_epoch_minute(full.filter(pc.equal(full["source"], src))["doc_id"])
+    )[:3]
+    same = full.filter(
+        pc.and_(
+            pc.equal(full["source"], src),
+            pc.is_in(extract_epoch_minute(full["doc_id"]), value_set=minutes),
+        )
+    )
+    pq.write_table(same, tmp_path / "same.parquet")
+    summary = run_incremental(out, str(tmp_path / "same.parquet"), mode="replace")
+    assert len(summary["touched_buckets"]) == 1
+    assert _tmp_dirs(out) == []
+    pd.testing.assert_frame_equal(
+        _norm(read_tier_output(out).to_pandas()), _oracle(inputs["full"])
+    )
+
 
 def test_bucket_plan_records(ray_session, inputs, tmp_path, caplog):
     out = str(tmp_path / "out")
@@ -121,7 +144,9 @@ def test_bucket_plan_records(ray_session, inputs, tmp_path, caplog):
 
         caplog.clear()
         uid = run_incremental(out, inputs["late"])["update_id"]
-        (plan,) = _plans(caplog)
+        stage, plan = _plans(caplog)
+        assert (stage["phase"], stage["launched"]) == ("stage", [0])
+        assert stage["rows_in"] == pq.read_metadata(inputs["late"]).num_rows
         assert plan["phase"] == "refresh"
         assert (plan["launched"], plan["skipped"], plan["healed"]) == (
             list(range(8)), [], [])
@@ -133,13 +158,13 @@ def test_bucket_plan_records(ray_session, inputs, tmp_path, caplog):
         # re-submitting the update launches nothing and skips its buckets
         caplog.clear()
         run_incremental(out, inputs["late"])
-        (plan,) = _plans(caplog)
+        _, plan = _plans(caplog)
         assert (plan["launched"], plan["skipped"]) == ([], list(range(8)))
 
         # a replace of one source launches its bucket alone
         caplog.clear()
         uid = run_incremental(out, inputs["one"], mode="replace")["update_id"]
-        (plan,) = _plans(caplog)
+        _, plan = _plans(caplog)
         (rec,) = [r for r in lineage.read_manifest(out)
                   if r.kind == "bucket-update" and r.extra["update_id"] == uid]
         assert (plan["launched"], plan["healed"]) == ([rec.partition_id], [])
@@ -180,12 +205,12 @@ def _kill_once(flag_path):
 
 def test_launcher_retries_a_lost_worker(ray_session, tmp_path):
     flag = str(tmp_path / "killed_once")
-    got = checkpoint._map_buckets(_kill_once(flag), [0, 1, 2, 3])
+    got = checkpoint._map_tasks(_kill_once(flag), [0, 1, 2, 3])
     assert os.path.exists(flag), "the fault was never injected"
-    clean = checkpoint._map_buckets(_kill_once(flag), [0, 1, 2, 3])
+    clean = checkpoint._map_tasks(_kill_once(flag), [0, 1, 2, 3])
     for r in got + clean:
         assert r.pop("wall_sec") >= 0
-    assert got == clean == [{"bucket": b, "rows_in": b, "square": b * b} for b in range(4)]
+    assert got == clean == [{"id": b, "rows_in": b, "square": b * b} for b in range(4)]
 
 
 def test_bucket_task_error_reaches_the_caller(ray_session, inputs, tmp_path):
@@ -196,7 +221,7 @@ def test_bucket_task_error_reaches_the_caller(ray_session, inputs, tmp_path):
         raise ValueError(f"bucket {b}: boom")
 
     with pytest.raises(ValueError, match="bucket 1: boom"):
-        checkpoint._map_buckets(boom, [1])
+        checkpoint._map_tasks(boom, [1])
 
     # a refresh that has nothing to publish: every partial row of bucket b
     # is tombstoned and its published rows are gone
@@ -212,3 +237,41 @@ def test_bucket_task_error_reaches_the_caller(ray_session, inputs, tmp_path):
         run_incremental(out, None, deletes=str(tmp_path / "gone.parquet"))
     kinds = [r.kind for r in lineage.read_manifest(out)]
     assert kinds == ["partials", "bucket", "bucket", "update-partials"]
+
+
+def test_stage_plan_record(ray_session, inputs, tmp_path, caplog):
+    """Staging launches one task per update file and per deletes file and
+    logs them as a ``stage`` plan with the input rows they read."""
+    out = str(tmp_path / "out")
+    run_checkpointed(inputs["early"], out, fill=CFG, n_buckets=4, check_tokens=False)
+    one = pq.read_table(inputs["one"])
+    pq.write_table(one.slice(0, 5).select(["doc_id", "source"]), tmp_path / "del.parquet")
+    with caplog.at_level(logging.INFO, logger=_LOGGER):
+        run_incremental(out, inputs["one"], mode="replace",
+                        deletes=str(tmp_path / "del.parquet"))
+    stage, refresh = _plans(caplog)
+    assert (stage["phase"], refresh["phase"]) == ("stage", "refresh")
+    assert stage["launched"] == [0, 1]
+    assert stage["rows_in"] == one.num_rows + 5
+    assert stage["task_wall_max_s"] > 0
+
+
+def test_failed_stage_leaves_nothing(ray_session, tmp_path):
+    """An update that breaks the token invariant fails in its stage task
+    with the engine's error; no record, staged rows or tier change remain."""
+    t = generate_input_table(1200, 4, seed=5)
+    pq.write_table(t.slice(0, 900), tmp_path / "base.parquet")
+    out = str(tmp_path / "out")
+    run_checkpointed(str(tmp_path / "base.parquet"), out, fill=CFG, n_buckets=2)
+    before = _norm(read_tier_output(out).to_pandas())
+    manifest = lineage.read_manifest(out)
+    upd = t.slice(900)
+    n_tok = upd["n_tok"].to_numpy().copy()
+    n_tok[0] += 1
+    upd = upd.set_column(upd.column_names.index("n_tok"), "n_tok", pa.array(n_tok))
+    pq.write_table(upd, tmp_path / "bad.parquet")
+    with pytest.raises(EngineValueError, match="token-array invariant"):
+        run_incremental(out, str(tmp_path / "bad.parquet"))
+    assert lineage.read_manifest(out) == manifest
+    assert os.listdir(os.path.join(out, "partials_updates")) == []
+    pd.testing.assert_frame_equal(_norm(read_tier_output(out).to_pandas()), before)

@@ -323,7 +323,7 @@ _ONE_ROW_MAP = re.compile(
 def test_no_from_items_task_launcher():
     """A ``from_items(ids)`` dataset mapped with ``batch_size=1`` starts a
     streaming executor to launch one task per id; plain Ray tasks do that
-    (pipelines/checkpoint._map_buckets)."""
+    (pipelines/checkpoint._map_tasks)."""
     from pathlib import Path
 
     import datafiller_ray
@@ -335,3 +335,15 @@ def test_no_from_items_task_launcher():
         if "from_items(" in (text := path.read_text()) and _ONE_ROW_MAP.search(text)
     ]
     assert hits == [], "launch one task per item with ray.remote, not Ray Data"
+
+
+def test_run_incremental_starts_no_ray_data_pipeline():
+    """An update is staged by plain Ray tasks, one per file or block; a Ray
+    Data pipeline would start an executor per update."""
+    import inspect
+
+    from datafiller_ray.pipelines.checkpoint import run_incremental
+
+    source = inspect.getsource(run_incremental)
+    calls = ("write_parquet(", "map_batches(", "partial_aggregates(")
+    assert [c for c in calls if c in source] == []

@@ -421,6 +421,24 @@ def test_upsert_and_delete_equals_fresh_run(ray_session, upsert_inputs, tmp_path
     pd.testing.assert_frame_equal(_norm(read_tier_output(out).to_pandas()), want)
 
 
+def test_dataset_inputs_match_path_inputs(ray_session, upsert_inputs, tmp_path):
+    """An update and deletes given as Datasets (one stage task per block)
+    commit the same update, and the same tier rows, as their paths."""
+    import ray.data
+
+    p = upsert_inputs
+    got = {}
+    for form, wrap in (("path", str), ("dataset", ray.data.read_parquet)):
+        out = str(tmp_path / form)
+        run_checkpointed(p["a"], out, fill=CFG, n_buckets=5, check_tokens=False)
+        uid = run_incremental(
+            out, wrap(p["changed"]), mode="replace", deletes=wrap(p["removed"])
+        )["update_id"]
+        got[form] = uid, _norm(read_tier_output(out).to_pandas())
+    assert got["dataset"][0] == got["path"][0]
+    pd.testing.assert_frame_equal(got["dataset"][1], got["path"][1])
+
+
 def test_delete_only_update(ray_session, upsert_inputs, tmp_path):
     p = upsert_inputs
     out = str(tmp_path / "out")
