@@ -6,13 +6,14 @@ Two phases, each manifest-committed (state/lineage.py):
    bucketize + partial-aggregate, plus a ``bucket = hash(source) % B`` salt
    column, written once as Parquet partitioned by bucket. If the job dies
    later, this pass is never repeated.
-2. **buckets** — one plain Ray task per bucket b (:func:`_map_tasks`):
-   read only ``bucket=b`` partial rows (cheap, column-pruned), run the
-   columnar fill kernel (``stages/fill.py`` ``fill_tiers``: tier cascade,
-   densify, gap fill) once per sub-partition over all of its sources, write
-   tier rows to a staging dir beside ``tiers/``, one Arrow table per tier,
-   audit (row count + order-independent checksum), atomically rename to
-   ``tiers/bucket=b``, append the lineage record. A resumed run skips every
+2. **buckets** — one plain Ray task per bucket b
+   (:func:`stages.tasks.map_tasks`): read only ``bucket=b`` partial rows
+   (cheap, column-pruned), run the columnar fill kernel (``stages/fill.py``
+   ``fill_tiers``: tier cascade, densify, gap fill) once per sub-partition
+   over all of its sources, write tier rows to a staging dir beside
+   ``tiers/``, one Arrow table per tier, audit (row count +
+   order-independent checksum), atomically rename to ``tiers/bucket=b``,
+   append the lineage record. A resumed run skips every
    bucket already in the manifest.
 
 Incremental updates (:func:`run_incremental`) and update-log compaction
@@ -23,9 +24,9 @@ bucket's recomputed sources with the base run's tiers and retention. An
 update is staged by one task per update file (or Dataset block) that reads,
 validates, partially aggregates, buckets and writes it — no Ray Data
 executor starts per update. The stage, finalize, refresh and compaction
-fold all launch their tasks through :func:`_map_tasks`, and each logs one
-``checkpoint bucket plan`` record. Every bucket phase first sweeps the
-staging dirs dead attempts left at any bucket.
+fold all launch their tasks through :func:`stages.tasks.map_tasks`, and
+each logs one ``checkpoint bucket plan`` record. Every bucket phase first
+sweeps the staging dirs dead attempts left at any bucket.
 
 Bucket granularity is the checkpoint unit: B ~ cluster nodes keeps re-done
 work on failure to ~1/B of the finalize phase. Source-hash bucketing also
@@ -40,7 +41,6 @@ import glob
 import logging
 import os
 import shutil
-import time
 
 import numpy as np
 import pyarrow as pa
@@ -53,8 +53,9 @@ import ray.data
 from datafiller_ray.config import FillConfig, RetentionConfig
 from datafiller_ray.pipelines.rollup import (
     input_columns,
+    parquet_files,
     partial_aggregates,
-    require_columns,
+    scan_file,
 )
 from datafiller_ray.state import lineage
 from datafiller_ray.stages.fill import (
@@ -63,9 +64,12 @@ from datafiller_ray.stages.fill import (
     segment_starts,
     sorted_codes,
 )
+from datafiller_ray.stages.tasks import map_tasks
 from datafiller_ray.stages.validate import PARTIAL_SCHEMA
 
 _log = logging.getLogger(__name__)
+
+_DELETE_COLUMNS = ["doc_id", "source"]
 
 
 def _cfg_snapshot(cfg: FillConfig) -> dict:
@@ -192,36 +196,6 @@ def _publish_rows(
         {c: out_rows[c].to_numpy() for c in checksum_cols}
     )
     return out_rows.num_rows, checksum
-
-
-# Ray Data's map-task policy (ray/data/_internal/remote_fn.py): a task whose
-# worker dies is retried without limit; an exception it raises is not retried
-@ray.remote(max_retries=-1, scheduling_strategy="DEFAULT")
-def _task(fn, i: int) -> dict:
-    t0 = time.perf_counter()
-    record = fn(i)
-    return {"id": i, **record, "wall_sec": round(time.perf_counter() - t0, 3)}
-
-
-def _map_tasks(fn, ids) -> list:
-    """Run ``fn(i)`` once per id (a bucket, or an update's work item) as one
-    plain Ray task and return its records in the order of ``ids``, each a
-    dict with ``id`` and the task's ``wall_sec`` added. ``fn`` is put in the
-    object store once.
-
-    A lost worker is retried, as Ray Data retries its map tasks; the task
-    functions are idempotent (stage, then rename over the bucket; or write
-    one named file). An exception raised by ``fn`` is not retried: it
-    reaches the caller, as its own type, once every task has settled, so no
-    task still writes after this returns or raises. The collect is one
-    small record per id, so it is bounded by the run's ``n_buckets`` or the
-    update's file or block count."""
-    if not ids:
-        return []
-    fn_ref = ray.put(fn)
-    refs = [_task.remote(fn_ref, int(i)) for i in ids]
-    ray.wait(refs, num_returns=len(refs))
-    return ray.get(refs)
 
 
 def _log_bucket_plan(phase: str, records: list, skipped=(), healed=()) -> dict:
@@ -400,7 +374,7 @@ def run_checkpointed(
         }
 
     _sweep_staging(out_dir)
-    results = _map_tasks(finalize_bucket, todo)
+    results = map_tasks(finalize_bucket, todo)
     _drop_empty_staging(out_dir)
     _log_bucket_plan("finalize", results, skipped=skipped["buckets"])
     for r in results:
@@ -628,7 +602,7 @@ def _refresh_stale_buckets(
             "rows_in": folded.num_rows,
         }
 
-    results = _map_tasks(refresh_bucket, todo)
+    results = map_tasks(refresh_bucket, todo)
     _drop_empty_staging(out_dir)
     plan = _log_bucket_plan(
         "refresh",
@@ -702,20 +676,22 @@ def run_incremental(
     buckets) for finalize — untouched buckets are never read. Staging is
     one plain Ray task per update file (a Dataset: per block) and per
     deletes file, with no Ray Data executor: it reads the file, validates
-    and partially aggregates it (or makes its tombstones), splits the rows
-    by bucket and writes them under ``partials_updates/staging.tmp``. A
-    task holds one whole file or block in memory, as Ray Data's
-    one-block-per-file read of the base pass does; split a large update
-    into several files to bound it. Within a touched bucket, one task folds
-    the partials in Arrow, runs the fill kernel once over the recomputed
-    sources and reads the published rows only to splice untouched sources
-    (not at all when every source is touched). The kernel runs with the
+    and partially aggregates it with the rollup scan's own function
+    (``rollup.scan_file``) or makes its tombstones, splits the rows by
+    bucket and writes them under ``partials_updates/staging.tmp``. A task
+    holds one whole file or block in memory, as the base pass's scan does;
+    split a large update into several files to bound it. Within a touched
+    bucket, one task folds the partials in Arrow, runs the fill kernel once
+    over the recomputed sources and reads the published rows only to
+    splice untouched sources (not at all when every source is touched). The kernel runs with the
     base run's tiers and ``retention`` (both in the ``partials`` record).
     Each ``bucket-update`` record's ``extra`` carries
     ``sources_recomputed``, ``sources_spliced`` and ``rows_in`` (partial
     rows fed to the kernel). Staging logs a ``stage`` phase ``checkpoint
     bucket plan`` record: one launched id per task, and the input rows
-    read as ``rows_in``. A failed stage leaves no staged rows behind.
+    read as ``rows_in``. A failed stage leaves no staged rows behind. An
+    update that stages no row (a zero-row file or an empty Dataset) is a
+    no-op: the manifest is unchanged and ``update_id`` is None.
     """
     import pyarrow.parquet as pq
 
@@ -764,35 +740,38 @@ def run_incremental(
         )
 
     partial_agg = make_partial_agg_fn(check_tokens=check_tokens)
-    # work items (file path or Arrow block ref, columns read, staging fn):
-    # the partials of an update file or block are those of the base pass,
-    # which reads one block per file
+    # work items (file path or Arrow block ref, is a deletes item): the
+    # partials of an update file are those of the base pass's scan
     items = []
-    for x, cols, fn in (
-        (new_input, input_columns(check_tokens), lambda t: add_op(partial_agg(t))),
-        (deletes, ["doc_id", "source"], tombstones),
+    for x, cols, is_deletes in (
+        (new_input, input_columns(check_tokens), False),
+        (deletes, _DELETE_COLUMNS, True),
     ):
         if x is None:
             continue
         if isinstance(x, ray.data.Dataset):
             srcs = x.to_arrow_refs()
         else:
-            d = pds.dataset(x)
-            require_columns(d.schema.names, cols)
-            srcs = d.files
-        items += [(src, cols, fn) for src in srcs]
+            srcs = parquet_files(x, cols)
+        items += [(src, is_deletes) for src in srcs]
 
     def stage(i: int) -> dict:
         """One task per work item: read, stage, split by bucket and write
         ``staging.tmp/bucket=B/part-<i>.parquet``, as a hive
         ``write_parquet`` partitioned by bucket lays them out."""
-        src, cols, fn = items[i]
-        t = (
-            ray.get(src)
-            if isinstance(src, ray.ObjectRef)
-            else pq.read_table(src, columns=cols, use_threads=False)
-        )
-        rows = _add_bucket(n_buckets)(fn(t))
+        src, is_deletes = items[i]
+        if isinstance(src, ray.ObjectRef):
+            t = ray.get(src)
+            rows_in = t.num_rows
+            t = tombstones(t) if is_deletes else add_op(partial_agg(t))
+        elif is_deletes:
+            t = pq.read_table(src, columns=_DELETE_COLUMNS, use_threads=False)
+            rows_in = t.num_rows
+            t = tombstones(t)
+        else:
+            rows_in = pq.read_metadata(src).num_rows
+            t = add_op(scan_file(src, check_tokens))
+        rows = _add_bucket(n_buckets)(t)
         bucket = rows["bucket"]
         rows = rows.drop_columns(["bucket"])
         for b in pc.unique(bucket).to_pylist():
@@ -802,10 +781,17 @@ def run_incremental(
                 rows.filter(pc.equal(bucket, b)),
                 os.path.join(bdir, f"part-{i}.parquet"),
             )
-        return {"rows_in": t.num_rows}
+        return {"rows_in": rows_in}
 
     try:
-        _log_bucket_plan("stage", _map_tasks(stage, range(len(items))))
+        _log_bucket_plan("stage", map_tasks(stage, range(len(items))))
+        if not os.path.isdir(tmp):  # nothing staged: an empty update
+            return {
+                "update_id": None,
+                "touched_buckets": [],
+                "refreshed_buckets": 0,
+                "skipped_buckets": [],
+            }
         audit = pds.dataset(tmp, partitioning="hive").to_table(
             columns=["source", "bucket_ts", "count", "sum", "op"]
         )
@@ -963,7 +949,7 @@ def compact_updates(out_dir: str) -> dict:
         pq.write_table(agg, os.path.join(bdir, "part-0.parquet"))
         return {"row_count": agg.num_rows, "rows_in": t.num_rows}
 
-    results = _map_tasks(fold_bucket, buckets)
+    results = map_tasks(fold_bucket, buckets)
     _log_bucket_plan("fold", results)
     os.replace(tmp_root, epoch_dir)
     lineage.append_record(

@@ -2,19 +2,21 @@
 
 Physical plan (SURVEY.md §3.4):
 
-    read_parquet (columns pruned to the 4 contract columns)
-      -> map_batches(validate + bucketize + per-block partial agg)   [fused with the read: one task per file]
+    scan: one plain Ray task per input file (scan_file)
+      -> read (columns pruned to the 4 contract columns) + validate + bucketize + partial agg
       -> exchange on skey                                             [THE shuffle — partial rows only]
       -> fill_tiers per run of whole skey groups (combine -> cascade 1m/1h/1d -> densify -> gap-fill [-> Gorilla])
-      -> Dataset of tier rows (or blob rows) -> write_parquet
+      -> Dataset of tier rows (or blob rows) -> write_tiers: one plain Ray task per block
 
 The heavy token payload never crosses the shuffle: the partial-agg stage
 reduces each input block to one row per (source, minute) before the exchange.
-The read yields one block per input file, so Ray Data fuses it with the
-partial-agg map: the token payload never leaves the task that read it and
-the exchange gets one partial block per file (:func:`read_input`).
-All per-group work is vectorized NumPy on series that are tiny relative to
-the input (one row per source-minute).
+A scan task reads one input file and partially aggregates it, so the token
+payload never leaves the task that read it and the exchange gets one partial
+block per file (:func:`partial_aggregates`). Given a Parquet path, the scan,
+the exchange and the sink all run as plain Ray tasks (``stages/tasks.py``),
+and the scan's block refs go straight to the exchange: no Ray Data executor
+starts on the way. All per-group work is vectorized NumPy on series that are
+tiny relative to the input (one row per source-minute).
 
 One exchange implements the shuffle: the engine's in-memory hash exchange
 through the object store, :func:`bucketed_map_groups`. Every step keyed on
@@ -33,6 +35,7 @@ disk.
 
 from __future__ import annotations
 
+import functools
 import logging
 from typing import TYPE_CHECKING
 
@@ -40,6 +43,7 @@ import ray
 import ray.data
 
 from datafiller_ray.config import FillConfig, RetentionConfig
+from datafiller_ray.stages import tasks
 from datafiller_ray.stages.fill import make_fill_group_fn
 from datafiller_ray.stages.validate import make_partial_agg_fn
 
@@ -63,7 +67,6 @@ def read_input(
     *,
     with_tokens: bool = True,
     format: str = "parquet",
-    block_per_file: bool = False,
 ) -> "Dataset":
     """Read the contract table, pruning columns at the read. When the token
     invariant is not being checked, the (dominant) ``tokens`` column never
@@ -71,16 +74,14 @@ def read_input(
     carry the list<int32> token payload) — the engine analogue of the
     reference's CSV dataset loaders (``datasets/_datasets.py:6-72``).
 
-    With ``block_per_file``, a Parquet path is read as one block per input
-    file (``override_num_blocks`` = file count), so a following
-    ``batch_size=None`` map fuses with the read into one task per file
-    (:func:`partial_aggregates`). Otherwise Ray Data's default split read
-    cuts each file into several blocks, which cannot fuse with such a map.
-    The other readers keep it: for two of them, one block per file
-    measured 13-28 % slower on 49 small files on 4 CPUs. One INFO
-    record per Parquet read on this module's logger carries the plan in
-    ``record.scan``: ``files`` (None when pyarrow cannot open the path and
-    Ray's reader plans it) and ``fused`` (one block per file)."""
+    A Parquet path is read by Ray Data's default split read, which cuts each
+    file into several blocks; for the readers that use it, one block per
+    file measured 13-28 % slower on 49 small files on 4 CPUs. The rollup's
+    own scan is :func:`partial_aggregates`. One INFO record per Parquet
+    read on this module's logger carries the plan in ``record.scan``:
+    ``files`` (None when pyarrow cannot open the path and Ray's reader
+    plans it) and ``fused`` (False here: the read is not fused with the
+    partial aggregation)."""
     from datafiller_ray.config import EngineValueError
 
     cols = input_columns(with_tokens)
@@ -136,13 +137,13 @@ def read_input(
     info = _parquet_info(input_path)
     if info is not None:
         require_columns(info[0].names, cols)
-    files = info[1] if info is not None else None
-    fused = block_per_file and bool(files)
+    _log_scan(info[1] if info is not None else None, fused=False)
+    return ray.data.read_parquet(input_path, columns=cols)
+
+
+def _log_scan(files: "int | None", fused: bool) -> None:
     scan = {"files": files, "fused": fused}
     _log.info("parquet scan plan: %s", scan, extra={"scan": scan})
-    return ray.data.read_parquet(
-        input_path, columns=cols, override_num_blocks=files if fused else None
-    )
 
 
 def require_columns(names, cols) -> None:
@@ -169,24 +170,63 @@ def _parquet_info(input_path) -> "tuple[pa.Schema, int] | None":
     return d.schema, len(d.files)
 
 
+def parquet_files(input_path, cols) -> list[str]:
+    """The files of a Parquet path (a file, a directory or a list of files),
+    after checking that their schema holds the contract columns ``cols``;
+    pyarrow's own error when it cannot open the path."""
+    import pyarrow.dataset as pds
+
+    d = pds.dataset(input_path)
+    require_columns(d.schema.names, cols)
+    return d.files
+
+
+def scan_file(path: str, check_tokens: bool = True) -> "pa.Table":
+    """One input file's partial rows: read its contract columns and run the
+    partial aggregation, token check included. The read of the rollup scan
+    (:func:`partial_aggregates`) and of the checkpoint's update staging.
+    Its caller runs it in a task holding one CPU, so Arrow reads without
+    its thread pool."""
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(path, columns=input_columns(check_tokens), use_threads=False)
+    return make_partial_agg_fn(check_tokens=check_tokens)(t)
+
+
+def _scan(input_path, check_tokens: bool):
+    """Yield ``(ref, metadata)`` of each input file's partial block, made
+    by one plain task per file running :func:`scan_file`
+    (``tasks.map_blocks``). The scan starts at the first ``next()``."""
+    files = parquet_files(input_path, input_columns(check_tokens))
+    _log_scan(len(files), fused=True)
+    # scan_file is looked up at the call, and the partial pickled by value
+    yield from tasks.map_blocks(
+        functools.partial(scan_file, check_tokens=check_tokens), files
+    )
+
+
 def partial_aggregates(
     ds_or_path: "Dataset | str", *, check_tokens: bool = True
 ) -> "Dataset":
     """Stage 1: validation + bucketization + per-block partial rollup.
 
-    Given a Parquet path, the read yields one block per file, and Ray Data
-    fuses it with this map: one ``ReadParquet->MapBatches(partial_agg)``
-    task per file, whose token payload never leaves the task, and one
-    partial block per file for the exchange. With 1-3 input files on a
-    4-CPU cluster, where this leaves CPUs idle, it still measured faster
-    than the split read, whose extra map tasks cost more than they win
-    back."""
+    Given a Parquet path, one plain Ray task per input file reads it and
+    reduces it to partial rows (:func:`scan_file`): the token payload never
+    leaves the task that read it, the exchange gets one partial block per
+    file, and no Ray Data executor starts. The scan runs at the call and
+    the returned Dataset holds its blocks. With 1-3 input files on a 4-CPU
+    cluster, where one task per file leaves CPUs idle, this still measured
+    faster than Ray Data's split read, whose extra map tasks cost more than
+    they win back. A Dataset or in-memory input is mapped by Ray Data
+    instead, so a lazy Dataset still streams."""
+    if isinstance(ds_or_path, (str, list)):
+        return ray.data.from_arrow_refs(
+            [ref for ref, _ in _scan(ds_or_path, check_tokens)]
+        )
     ds = (
         ds_or_path
         if isinstance(ds_or_path, ray.data.Dataset)
-        else read_input(
-            ds_or_path, with_tokens=check_tokens, block_per_file=True
-        )
+        else read_input(ds_or_path, with_tokens=check_tokens)
     )
     return ds.map_batches(
         make_partial_agg_fn(check_tokens=check_tokens),
@@ -209,24 +249,28 @@ def rollup_tiers(
     """Full rollup + gap-fill pipeline: a Dataset of tier rows
     (``emit="rows"``) or Gorilla blob rows (``emit="blobs"``).
 
-    The partial rows move through :func:`bucketed_map_groups`, a hash
+    The partial rows move through :func:`bucketed_map_groups`' hash
     exchange in Ray's object store: each partial block is split by
     ``skey % n``, then one task per partition runs ``fill_tiers`` (or, for
     blobs, ``fill_tiers`` then ``encode_tier_chunks``) once per run of whole
-    ``skey`` groups, on Arrow tables. The exchange runs when this function
-    is called, so the returned Dataset is not lazy: its blocks are the
-    reduce outputs, already in the object store. Row order inside the
-    Dataset follows the partitions, not the sources.
+    ``skey`` groups, on Arrow tables. A Parquet path runs on plain Ray tasks
+    from scan to reduce: the scan's partial blocks go straight to the
+    split tasks. The exchange runs when this function is called, so the
+    returned Dataset is not lazy: its blocks are the reduce outputs, already
+    in the object store. Row order inside the Dataset follows the
+    partitions, not the sources.
 
     ``n_buckets`` is the partition count; ``None`` derives it from the
     cluster's CPUs and the partial bytes (see :func:`bucketed_map_groups`).
     Nothing is written to disk, so no shared storage is needed.
     """
     cfg = fill if fill is not None else FillConfig()
-    partials = partial_aggregates(input_path, check_tokens=check_tokens)
     fn = make_fill_group_fn(
         cfg, tiers=tiers, retention=retention, emit=emit, batch_format="pyarrow"
     )
+    if isinstance(input_path, (str, list)):
+        return _exchange(_scan(input_path, check_tokens), fn, n_buckets)
+    partials = partial_aggregates(input_path, check_tokens=check_tokens)
     return bucketed_map_groups(partials, fn, n_buckets=n_buckets)
 
 
@@ -262,7 +306,7 @@ def rollup_tiers_inferred(
     return bucketed_map_groups(partials, fn)
 
 
-@ray.remote
+@tasks.remote()
 def _split_by_skey(t, n: int):
     """Exchange map side: one partial block (Arrow or pandas) -> ``n``
     Arrow pieces by ``skey % n``, plus the per-piece row counts as the last
@@ -279,7 +323,7 @@ def _split_by_skey(t, n: int):
     return (*(t.slice(offsets[i], counts[i]) for i in range(n)), counts)
 
 
-@ray.remote(num_returns="streaming")
+@tasks.remote(num_returns="streaming")
 def _reduce_partition(fn, block_bytes, *pieces):
     """Exchange reduce side: concatenate one partition's pieces, sort by
     ``skey``, cut the sorted table into runs of whole ``skey`` groups, call
@@ -376,6 +420,12 @@ def bucketed_map_groups(
     partition skew. The exchange runs when this function is called, not
     lazily.
     """
+    return _exchange(tasks.block_pairs(partials), fn, n_buckets)
+
+
+def _exchange(pairs, fn, n_buckets: "int | None") -> "Dataset":
+    """:func:`bucketed_map_groups` over the partial blocks ``pairs`` yields
+    as ``(ref, metadata)``, consumed after ``n_buckets`` is checked."""
     import math
 
     import numpy as np
@@ -385,9 +435,10 @@ def bucketed_map_groups(
     if n_buckets is not None and n_buckets < 1:
         raise EngineValueError(f"n_buckets must be >= 1, got {n_buckets}")
     blocks, partial_bytes = [], 0
-    for bundle in partials.iter_internal_ref_bundles():
-        blocks.extend(ref for ref, meta in bundle.blocks if meta.num_rows != 0)
-        partial_bytes += bundle.size_bytes()
+    for ref, meta in pairs:
+        if meta.num_rows != 0:
+            blocks.append(ref)
+        partial_bytes += meta.size_bytes
     cpus = int(ray.cluster_resources().get("CPU", 1))
     target = ray.data.DataContext.get_current().target_max_block_size
     n = n_buckets
@@ -714,7 +765,43 @@ def rollup_tiers_auto(
     return bucketed_map_groups(partials, fn)
 
 
+@tasks.remote()
+def _write_block(block, out_dir: str, basename: str) -> None:
+    import pyarrow.dataset as pds
+    from ray.data.block import BlockAccessor
+
+    pds.write_dataset(
+        BlockAccessor.for_block(block).to_arrow(),
+        out_dir,
+        format="parquet",
+        partitioning=["tier"],
+        partitioning_flavor="hive",
+        basename_template=basename,
+        existing_data_behavior="overwrite_or_ignore",
+        use_threads=False,
+    )
+
+
 def write_tiers(tier_ds: "Dataset", out_dir: str) -> None:
-    """Partitioned Parquet sink: one directory per tier so a consumer (and a
-    resumed run) can address tiers independently."""
-    tier_ds.write_parquet(out_dir, partition_cols=["tier"])
+    """Partitioned Parquet sink: one ``tier=<name>/`` directory per tier so
+    a consumer (and a resumed run) can address tiers independently.
+
+    One plain Ray task per non-empty block writes it with pyarrow's hive
+    writer, as ``write_parquet(partition_cols=["tier"])`` lays it out; no
+    Ray Data executor starts for the write. File names carry a prefix
+    unique to the call, so a second write into the same dir adds files, and
+    a retried task rewrites its own. A lazy Dataset streams: each block's
+    task starts as the block is produced. Returns once every write has
+    settled; a write's error reaches the caller then. An empty Dataset
+    writes nothing and makes no directory."""
+    import uuid
+
+    prefix = uuid.uuid4().hex
+    refs = []
+    for block, meta in tasks.block_pairs(tier_ds):
+        if meta.num_rows != 0:
+            name = f"{prefix}_{len(refs):06d}-{{i}}.parquet"
+            refs.append(_write_block.remote(block, out_dir, name))
+    if refs:
+        ray.wait(refs, num_returns=len(refs))
+        ray.get(refs)

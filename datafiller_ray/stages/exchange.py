@@ -31,6 +31,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+from ray.data.block import BlockAccessor
 
 from datafiller_ray.config import EngineValueError
 from datafiller_ray.functions.hashing import splitmix64, string_hash64
@@ -81,8 +82,6 @@ def coarse_map_groups(
     sees the group. Each ``fn`` call gets every row of the keys hashed to
     one bucket (all of them, in one table of ``batch_format``), so a key's
     rows never split across calls. The column name ``_gk`` is reserved."""
-    from ray.data.block import BlockAccessor
-
     keys = [keys] if isinstance(keys, str) else list(keys)
     if n_buckets < 1:
         raise EngineValueError(f"n_buckets must be >= 1, got {n_buckets}")
@@ -190,13 +189,15 @@ def grouped_topk(
             out[rank_name] = out.groupby(group, sort=False, dropna=False).cumcount() + 1
         return out
 
-    def block_prune(t: "pa.Table") -> "pa.Table":
+    def block_prune(block) -> "pa.Table":
         # back to the block's own schema: the pandas hop must not turn an
         # int column holding a null into a float one in the exchange
+        t = BlockAccessor.for_block(block).to_arrow()
         out = prune(t.to_pandas(), final=False)
         return pa.Table.from_pandas(out, schema=t.schema, preserve_index=False)
 
-    pruned = ds.map_batches(block_prune, batch_format="pyarrow")
+    # native blocks, converted in the task, as coarse_map_groups' map does
+    pruned = ds.map_batches(block_prune, batch_format=None, zero_copy_batch=True)
     return coarse_map_groups(
         pruned, group, lambda g: prune(g, final=True), n_buckets=n_buckets
     )
@@ -229,8 +230,8 @@ def grouped_agg(
         raise EngineValueError(f"aggs must be sum/min/max, got {sorted(bad)}")
     values = list(aggs)
 
-    def partial(t: "pa.Table") -> "pa.Table":
-        t = t.select(keys + values)
+    def partial(block) -> "pa.Table":
+        t = BlockAccessor.for_block(block).to_arrow().select(keys + values)
         sum_opts = pc.ScalarAggregateOptions(min_count=0)  # not picklable
         spec = []
         for v, how in aggs.items():
@@ -251,5 +252,6 @@ def grouped_agg(
             values
         ].agg(aggs)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
+    # native blocks, converted in the task, as coarse_map_groups' map does
+    partials = ds.map_batches(partial, batch_format=None, zero_copy_batch=True)
     return coarse_map_groups(partials, keys, final_bucket, n_buckets=n_buckets)

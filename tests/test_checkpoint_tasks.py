@@ -1,6 +1,7 @@
 """Checkpoint tasks: the one launcher behind the update staging, finalize,
-refresh and compaction-fold phases (``_map_tasks``), the plan record each
-phase logs, and the staging dirs a task writes before its rename."""
+refresh and compaction-fold phases (``stages.tasks.map_tasks``), the plan
+record each phase logs, and the staging dirs a task writes before its
+rename."""
 
 import glob
 import json
@@ -17,7 +18,6 @@ import pytest
 
 from datafiller_ray.config import EngineValueError, FillConfig
 from datafiller_ray.fixtures import generate_input_table
-from datafiller_ray.pipelines import checkpoint
 from datafiller_ray.pipelines.checkpoint import (
     compact_updates,
     read_tier_output,
@@ -25,6 +25,7 @@ from datafiller_ray.pipelines.checkpoint import (
     run_incremental,
 )
 from datafiller_ray.pipelines.rollup import rollup_tiers
+from datafiller_ray.stages.tasks import map_tasks
 from datafiller_ray.stages.validate import extract_epoch_minute
 from datafiller_ray.state import lineage
 
@@ -205,9 +206,9 @@ def _kill_once(flag_path):
 
 def test_launcher_retries_a_lost_worker(ray_session, tmp_path):
     flag = str(tmp_path / "killed_once")
-    got = checkpoint._map_tasks(_kill_once(flag), [0, 1, 2, 3])
+    got = map_tasks(_kill_once(flag), [0, 1, 2, 3])
     assert os.path.exists(flag), "the fault was never injected"
-    clean = checkpoint._map_tasks(_kill_once(flag), [0, 1, 2, 3])
+    clean = map_tasks(_kill_once(flag), [0, 1, 2, 3])
     for r in got + clean:
         assert r.pop("wall_sec") >= 0
     assert got == clean == [{"id": b, "rows_in": b, "square": b * b} for b in range(4)]
@@ -221,7 +222,7 @@ def test_bucket_task_error_reaches_the_caller(ray_session, inputs, tmp_path):
         raise ValueError(f"bucket {b}: boom")
 
     with pytest.raises(ValueError, match="bucket 1: boom"):
-        checkpoint._map_tasks(boom, [1])
+        map_tasks(boom, [1])
 
     # a refresh that has nothing to publish: every partial row of bucket b
     # is tombstoned and its published rows are gone
@@ -272,6 +273,32 @@ def test_failed_stage_leaves_nothing(ray_session, tmp_path):
     pq.write_table(upd, tmp_path / "bad.parquet")
     with pytest.raises(EngineValueError, match="token-array invariant"):
         run_incremental(out, str(tmp_path / "bad.parquet"))
+    assert lineage.read_manifest(out) == manifest
+    assert os.listdir(os.path.join(out, "partials_updates")) == []
+    pd.testing.assert_frame_equal(_norm(read_tier_output(out).to_pandas()), before)
+
+
+@pytest.mark.parametrize("kind", ["update_file", "deletes_file", "dataset"])
+def test_empty_update_is_a_no_op(ray_session, inputs, tmp_path, kind):
+    """An update that stages no row — a zero-row update file, a zero-row
+    deletes file or an empty Dataset — touches no bucket and leaves the
+    manifest, the update log and the tier rows as they were."""
+    import ray.data
+
+    out = str(tmp_path / "out")
+    run_checkpointed(inputs["early"], out, fill=CFG, n_buckets=4, check_tokens=False)
+    before = _norm(read_tier_output(out).to_pandas())
+    manifest = lineage.read_manifest(out)
+    empty = pq.read_table(inputs["late"]).slice(0, 0)
+    if kind == "update_file":
+        pq.write_table(empty, tmp_path / "empty.parquet")
+        res = run_incremental(out, str(tmp_path / "empty.parquet"))
+    elif kind == "deletes_file":
+        pq.write_table(empty.select(["doc_id", "source"]), tmp_path / "empty.parquet")
+        res = run_incremental(out, None, deletes=str(tmp_path / "empty.parquet"))
+    else:
+        res = run_incremental(out, ray.data.from_arrow(empty))
+    assert res["touched_buckets"] == [] and res["refreshed_buckets"] == 0
     assert lineage.read_manifest(out) == manifest
     assert os.listdir(os.path.join(out, "partials_updates")) == []
     pd.testing.assert_frame_equal(_norm(read_tier_output(out).to_pandas()), before)

@@ -99,6 +99,38 @@ def test_grouped_sum_matches_pandas(ray_session, how, n_buckets):
     assert grouped_sum(empty, ["k1", "k2"], "v", how=how).count() == 0
 
 
+def test_grouped_ops_take_pandas_blocks(ray_session):
+    """grouped_agg and grouped_topk map native blocks: the same rows as
+    pandas blocks and as Arrow blocks give the same output."""
+    import ray.data
+
+    from datafiller_ray.stages.exchange import grouped_agg, grouped_topk
+
+    df = _two_key_frame().assign(w=lambda d: d["v"] * 0.5)
+    frames = np.array_split(df, 5)
+    as_pandas = ray.data.from_pandas(frames)
+    as_arrow = ray.data.from_arrow(
+        [pa.Table.from_pandas(f, preserve_index=False) for f in frames]
+    )
+    keys = ["k1", "k2"]
+
+    def agg(ds):
+        out = grouped_agg(ds, keys, {"v": "sum", "w": "max"}, n_buckets=3)
+        return _sorted(out.to_pandas(), keys)
+
+    def topk(ds):
+        out = grouped_topk(ds, keys, "v", ["w"], 2, n_buckets=3).to_pandas()
+        return _sorted(out, [*keys, "rnk"])[[*keys, "v", "w", "rnk"]]
+
+    want = _sorted(
+        df.groupby(keys, dropna=False, as_index=False).agg({"v": "sum", "w": "max"}),
+        keys,
+    )
+    pd.testing.assert_frame_equal(agg(as_pandas), agg(as_arrow))
+    pd.testing.assert_frame_equal(agg(as_pandas)[[*keys, "v", "w"]], want)
+    pd.testing.assert_frame_equal(topk(as_pandas), topk(as_arrow))
+
+
 @pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
 def test_coarse_map_groups_whole_groups(ray_session, batch_format):
     import ray.data
@@ -323,7 +355,7 @@ _ONE_ROW_MAP = re.compile(
 def test_no_from_items_task_launcher():
     """A ``from_items(ids)`` dataset mapped with ``batch_size=1`` starts a
     streaming executor to launch one task per id; plain Ray tasks do that
-    (pipelines/checkpoint._map_tasks)."""
+    (stages/tasks.map_tasks)."""
     from pathlib import Path
 
     import datafiller_ray
