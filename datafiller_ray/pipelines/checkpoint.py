@@ -2,10 +2,13 @@
 
 Two phases, each manifest-committed (state/lineage.py):
 
-1. **partials** — the single heavy pass over the token payload: validate +
-   bucketize + partial-aggregate, plus a ``bucket = hash(source) % B`` salt
-   column, written once as Parquet partitioned by bucket. If the job dies
-   later, this pass is never repeated.
+1. **partials** — the single heavy pass over the token payload: one plain
+   Ray task per input file validates, bucketizes and partially aggregates
+   it (``rollup.scan_file``), splits the rows by ``bucket = hash(source) %
+   B`` and sub-bucket, and writes them once as Parquet under
+   ``bucket=b/sub=s`` (:func:`_partials_stager`, shared with update
+   staging). No Ray Data executor starts. If the job dies later, this pass
+   is never repeated.
 2. **buckets** — one plain Ray task per bucket b
    (:func:`stages.tasks.map_tasks`): read only ``bucket=b`` partial rows
    (cheap, column-pruned), run the columnar fill kernel (``stages/fill.py``
@@ -21,12 +24,15 @@ Incremental updates (:func:`run_incremental`) and update-log compaction
 (:func:`_fold_partial_inputs`) and one stale-bucket refresh
 (:func:`_refresh_stale_buckets`), which runs the same kernel once over a
 bucket's recomputed sources with the base run's tiers and retention. An
-update is staged by one task per update file (or Dataset block) that reads,
-validates, partially aggregates, buckets and writes it — no Ray Data
-executor starts per update. The stage, finalize, refresh and compaction
-fold all launch their tasks through :func:`stages.tasks.map_tasks`, and
-each logs one ``checkpoint bucket plan`` record. Every bucket phase first
-sweeps the staging dirs dead attempts left at any bucket.
+update is staged by the base pass's task, one per update file (or Dataset
+block), that reads, validates, partially aggregates, buckets and writes it
+— no Ray Data executor starts per update. The stage, finalize, refresh and
+compaction fold all launch their tasks through
+:func:`stages.tasks.map_tasks`, and each logs one ``checkpoint bucket
+plan`` record. Every partial and tier file is written with
+``rollup.parquet_write_options`` (``bucket_ts`` delta-packed). Every
+bucket phase first sweeps the staging dirs dead attempts left at any
+bucket.
 
 Bucket granularity is the checkpoint unit: B ~ cluster nodes keeps re-done
 work on failure to ~1/B of the finalize phase. Source-hash bucketing also
@@ -50,11 +56,12 @@ import pyarrow.dataset as pds
 import ray
 import ray.data
 
-from datafiller_ray.config import FillConfig, RetentionConfig
+from datafiller_ray.config import EngineValueError, FillConfig, RetentionConfig
 from datafiller_ray.pipelines.rollup import (
     input_columns,
     parquet_files,
-    partial_aggregates,
+    parquet_write_options,
+    read_input,
     scan_file,
 )
 from datafiller_ray.state import lineage
@@ -80,19 +87,116 @@ def _cfg_snapshot(cfg: FillConfig) -> dict:
     return d
 
 
-def _add_bucket(n_buckets: int, n_subbuckets: int = 1):
-    def fn(batch: pa.Table) -> pa.Table:
-        skey = np.asarray(batch["skey"]).view(np.uint64)
-        bucket = (skey % np.uint64(n_buckets)).astype(np.int64)
-        batch = batch.append_column("bucket", pa.array(bucket, pa.int64()))
-        if n_subbuckets > 1:
-            sub = (
-                (skey // np.uint64(n_buckets)) % np.uint64(n_subbuckets)
-            ).astype(np.int64)
-            batch = batch.append_column("sub", pa.array(sub, pa.int64()))
-        return batch
+def _tombstones(t: pa.Table) -> pa.Table:
+    """Partial rows (``op`` 2) that tombstone the (source, minute) keys of a
+    deletes table's ``doc_id``/``source`` rows."""
+    from datafiller_ray.functions.hashing import string_hash64
+    from datafiller_ray.stages.validate import extract_epoch_minute
 
-    return fn
+    minute = extract_epoch_minute(t["doc_id"])
+    bucket_ts = pc.multiply(minute, pa.scalar(60, pa.int64()))
+    src = np.asarray(t["source"].to_pandas(), dtype="U")
+    skey = string_hash64(src).view(np.int64)
+    zeros = pa.array(np.zeros(t.num_rows, np.int64), pa.int64())
+    return pa.table(
+        {
+            "source": t["source"],
+            "skey": pa.array(skey, pa.int64()),
+            "bucket_ts": bucket_ts,
+            "count": zeros,
+            "sum": zeros,
+            "min": zeros,
+            "max": zeros,
+            "op": pa.array(np.full(t.num_rows, 2, np.int8), pa.int8()),
+        }
+    )
+
+
+def _work_items(x, cols, is_deletes: bool = False) -> list:
+    """Stage work items of ``x``: ``(file path or Arrow block ref,
+    is_deletes)``, one per file of a Parquet path (whose schema must hold
+    the columns ``cols``) or per block of a ``ray.data.Dataset``. An
+    in-memory input table (what :func:`rollup.read_input` takes) is one
+    block; a deletes input must be a path or a Dataset."""
+    if isinstance(x, (str, list)):
+        return [(src, is_deletes) for src in parquet_files(x, cols)]
+    if not isinstance(x, ray.data.Dataset):
+        if is_deletes:
+            raise EngineValueError(
+                f"unsupported deletes input {type(x).__name__}: pass a Parquet "
+                "path or a ray.data.Dataset"
+            )
+        x = read_input(x, with_tokens="tokens" in cols)
+    return [(src, is_deletes) for src in x.to_arrow_refs()]
+
+
+def _partials_stager(
+    items: list,
+    out_root: str,
+    *,
+    check_tokens: bool,
+    n_buckets: int,
+    n_subbuckets: int = 1,
+    op: "int | None" = None,
+):
+    """The task function, for :func:`map_tasks`, that stages work item ``i``
+    of ``items`` (:func:`_work_items`): read it, make its partial rows with
+    the rollup scan's own function (``rollup.scan_file``; a block gets the
+    same partial aggregation) or its tombstones, add the ``op`` column when
+    ``op`` is given, split the rows by bucket (and sub-bucket when
+    ``n_subbuckets > 1``) and write them as
+    ``out_root/bucket=B[/sub=S]/part-<i>.parquet`` with the engine's writer
+    options — the layout a hive ``write_parquet`` partitioned by bucket
+    (and sub) writes, without the partition columns. The base pass and
+    update staging both run it. Returns ``{"rows_in": input rows}``."""
+    import pyarrow.parquet as pq
+
+    from datafiller_ray.stages.validate import make_partial_agg_fn
+
+    partial_agg = make_partial_agg_fn(check_tokens=check_tokens)
+
+    def stage(i: int) -> dict:
+        src, is_deletes = items[i]
+        if isinstance(src, ray.ObjectRef):
+            t = ray.get(src)
+            rows_in = t.num_rows
+            t = _tombstones(t) if is_deletes else partial_agg(t)
+        elif is_deletes:
+            t = pq.read_table(src, columns=_DELETE_COLUMNS, use_threads=False)
+            rows_in = t.num_rows
+            t = _tombstones(t)
+        else:
+            rows_in = pq.read_metadata(src).num_rows
+            t = scan_file(src, check_tokens)
+        if op is not None and not is_deletes:
+            t = t.append_column(
+                "op", pa.array(np.full(t.num_rows, op, np.int8), pa.int8())
+            )
+        if t.num_rows:
+            # the persisted layout bucket=B/sub=S: B = skey % n_buckets,
+            # S = (skey // n_buckets) % n_subbuckets
+            skey = np.asarray(t["skey"]).view(np.uint64)
+            ns = np.uint64(n_subbuckets)
+            part = (skey % np.uint64(n_buckets)) * ns + (
+                skey // np.uint64(n_buckets)
+            ) % ns
+            order = np.argsort(part, kind="stable")
+            t, part = t.take(order), part[order]
+            starts = segment_starts(part)
+            for lo, hi in zip(starts, np.append(starts[1:], t.num_rows)):
+                b, sb = divmod(int(part[lo]), n_subbuckets)
+                d = os.path.join(out_root, f"bucket={b}")
+                if n_subbuckets > 1:
+                    d = os.path.join(d, f"sub={sb}")
+                os.makedirs(d, exist_ok=True)
+                pq.write_table(
+                    t.slice(lo, hi - lo),
+                    os.path.join(d, f"part-{i}.parquet"),
+                    **parquet_write_options(t.schema),
+                )
+        return {"rows_in": rows_in}
+
+    return stage
 
 
 def _blob_payload_hashes(rows: pa.Table) -> pa.Array:
@@ -191,10 +295,9 @@ def _publish_rows(
         pq.write_table(
             sub.replace_schema_metadata(_pandas_metadata(sub)),
             os.path.join(tdir, f"part-{part}.parquet"),
+            **parquet_write_options(sub.schema),
         )
-    checksum = lineage.rows_checksum(
-        {c: out_rows[c].to_numpy() for c in checksum_cols}
-    )
+    checksum = lineage.rows_checksum({c: out_rows[c] for c in checksum_cols})
     return out_rows.num_rows, checksum
 
 
@@ -265,6 +368,12 @@ def run_checkpointed(
 ) -> dict:
     """Run (or resume) the full pipeline. Returns a summary dict.
 
+    ``input_path`` is a Parquet path (a file, a directory or a list of
+    files), a ``ray.data.Dataset`` or an in-memory table
+    (:func:`rollup.read_input`); the base pass runs one plain Ray task per
+    file (or block). An input without rows commits empty partials and
+    empty buckets.
+
     ``emit="blobs"`` Gorilla-encodes each bucket's tier rows into one blob
     row per (source, tier) before publishing — the compressed sink with the
     same bucket-level commit/resume/incremental granularity as the rows
@@ -281,20 +390,20 @@ def run_checkpointed(
     if not done_partials:
         tmp = partials_dir + ".tmp"
         shutil.rmtree(tmp, ignore_errors=True)
-        partials = partial_aggregates(
-            input_path, check_tokens=check_tokens
-        ).map_batches(
-            _add_bucket(n_buckets, n_subbuckets), batch_format="pyarrow"
+        items = _work_items(input_path, input_columns(check_tokens))
+        stage = _partials_stager(
+            items, tmp, check_tokens=check_tokens, n_buckets=n_buckets,
+            n_subbuckets=n_subbuckets,
         )
-        part_cols = ["bucket", "sub"] if n_subbuckets > 1 else ["bucket"]
-        partials.write_parquet(tmp, partition_cols=part_cols)
-        # audit before publish
-        audit = pds.dataset(tmp, partitioning="hive").to_table(
-            columns=["source", "bucket_ts", "count", "sum"]
-        )
-        checksum = lineage.rows_checksum(
-            {c: audit[c].to_numpy(zero_copy_only=False) for c in audit.column_names}
-        )
+        map_tasks(stage, range(len(items)))
+        # audit before publish; an input without rows stages no file
+        audit_cols = ["source", "bucket_ts", "count", "sum"]
+        if os.path.isdir(tmp):
+            audit = pds.dataset(tmp, partitioning="hive").to_table(columns=audit_cols)
+        else:
+            audit = PARTIAL_SCHEMA.empty_table().select(audit_cols)
+            os.makedirs(tmp)
+        checksum = lineage.rows_checksum({c: audit[c] for c in audit_cols})
         shutil.rmtree(partials_dir, ignore_errors=True)
         os.replace(tmp, partials_dir)
         frags = sorted(
@@ -678,8 +787,9 @@ def run_incremental(
     deletes file, with no Ray Data executor: it reads the file, validates
     and partially aggregates it with the rollup scan's own function
     (``rollup.scan_file``) or makes its tombstones, splits the rows by
-    bucket and writes them under ``partials_updates/staging.tmp``. A task
-    holds one whole file or block in memory, as the base pass's scan does;
+    bucket and writes them under ``partials_updates/staging.tmp`` — the
+    base pass's task (:func:`_partials_stager`). A task holds one whole
+    file or block in memory, as it does in the base pass;
     split a large update into several files to bound it. Within a touched
     bucket, one task folds the partials in Arrow, runs the fill kernel once
     over the recomputed sources and reads the published rows only to
@@ -693,11 +803,6 @@ def run_incremental(
     update that stages no row (a zero-row file or an empty Dataset) is a
     no-op: the manifest is unchanged and ``update_id`` is None.
     """
-    import pyarrow.parquet as pq
-
-    from datafiller_ray.functions.hashing import string_hash64
-    from datafiller_ray.stages.validate import extract_epoch_minute, make_partial_agg_fn
-
     if mode not in ("add", "replace"):
         raise ValueError(f"mode must be 'add' or 'replace', got {mode!r}")
     if new_input is None and deletes is None:
@@ -713,75 +818,17 @@ def run_incremental(
     # stage the new partials (the only pass over the new token payload)
     tmp = os.path.join(updates_root, "staging.tmp")
     shutil.rmtree(tmp, ignore_errors=True)
-    op_val = 0 if mode == "add" else 1
-
-    def add_op(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "op", pa.array(np.full(t.num_rows, op_val, np.int8), pa.int8())
-        )
-
-    def tombstones(t: pa.Table) -> pa.Table:
-        minute = extract_epoch_minute(t["doc_id"])
-        bucket_ts = pc.multiply(minute, pa.scalar(60, pa.int64()))
-        src = np.asarray(t["source"].to_pandas(), dtype="U")
-        skey = string_hash64(src).view(np.int64)
-        zeros = pa.array(np.zeros(t.num_rows, np.int64), pa.int64())
-        return pa.table(
-            {
-                "source": t["source"],
-                "skey": pa.array(skey, pa.int64()),
-                "bucket_ts": bucket_ts,
-                "count": zeros,
-                "sum": zeros,
-                "min": zeros,
-                "max": zeros,
-                "op": pa.array(np.full(t.num_rows, 2, np.int8), pa.int8()),
-            }
-        )
-
-    partial_agg = make_partial_agg_fn(check_tokens=check_tokens)
-    # work items (file path or Arrow block ref, is a deletes item): the
-    # partials of an update file are those of the base pass's scan
     items = []
     for x, cols, is_deletes in (
         (new_input, input_columns(check_tokens), False),
         (deletes, _DELETE_COLUMNS, True),
     ):
-        if x is None:
-            continue
-        if isinstance(x, ray.data.Dataset):
-            srcs = x.to_arrow_refs()
-        else:
-            srcs = parquet_files(x, cols)
-        items += [(src, is_deletes) for src in srcs]
-
-    def stage(i: int) -> dict:
-        """One task per work item: read, stage, split by bucket and write
-        ``staging.tmp/bucket=B/part-<i>.parquet``, as a hive
-        ``write_parquet`` partitioned by bucket lays them out."""
-        src, is_deletes = items[i]
-        if isinstance(src, ray.ObjectRef):
-            t = ray.get(src)
-            rows_in = t.num_rows
-            t = tombstones(t) if is_deletes else add_op(partial_agg(t))
-        elif is_deletes:
-            t = pq.read_table(src, columns=_DELETE_COLUMNS, use_threads=False)
-            rows_in = t.num_rows
-            t = tombstones(t)
-        else:
-            rows_in = pq.read_metadata(src).num_rows
-            t = add_op(scan_file(src, check_tokens))
-        rows = _add_bucket(n_buckets)(t)
-        bucket = rows["bucket"]
-        rows = rows.drop_columns(["bucket"])
-        for b in pc.unique(bucket).to_pylist():
-            bdir = os.path.join(tmp, f"bucket={b}")
-            os.makedirs(bdir, exist_ok=True)
-            pq.write_table(
-                rows.filter(pc.equal(bucket, b)),
-                os.path.join(bdir, f"part-{i}.parquet"),
-            )
-        return {"rows_in": rows_in}
+        if x is not None:
+            items += _work_items(x, cols, is_deletes)
+    stage = _partials_stager(
+        items, tmp, check_tokens=check_tokens, n_buckets=n_buckets,
+        op=0 if mode == "add" else 1,
+    )
 
     try:
         _log_bucket_plan("stage", map_tasks(stage, range(len(items))))
@@ -799,9 +846,7 @@ def run_incremental(
             # pure-add updates hash exactly as the pre-upsert engine did, so
             # previously committed update ids stay recognized (idempotency)
             audit = audit.drop_columns(["op"])
-        update_id = lineage.rows_checksum(
-            {c: audit[c].to_numpy(zero_copy_only=False) for c in audit.column_names}
-        )
+        update_id = lineage.rows_checksum({c: audit[c] for c in audit.column_names})
         update_dir = os.path.join(updates_root, update_id)
         committed_updates = {
             r.extra.get("update_id") for r in records if r.kind == "update-partials"
@@ -946,7 +991,9 @@ def compact_updates(out_dir: str) -> dict:
         )
         bdir = os.path.join(tmp_root, f"bucket={b}")
         os.makedirs(bdir, exist_ok=True)
-        pq.write_table(agg, os.path.join(bdir, "part-0.parquet"))
+        pq.write_table(
+            agg, os.path.join(bdir, "part-0.parquet"), **parquet_write_options(agg.schema)
+        )
         return {"row_count": agg.num_rows, "rows_in": t.num_rows}
 
     results = map_tasks(fold_bucket, buckets)

@@ -20,6 +20,7 @@ import os
 import pyarrow.parquet as pq
 
 from datafiller_ray.config import RetentionConfig
+from datafiller_ray.pipelines.rollup import parquet_write_options
 
 
 def _file_bounds(path: str) -> tuple[int, int] | None:
@@ -93,7 +94,9 @@ def enforce_retention(tiers_dir: str, retention: RetentionConfig) -> dict:
             stats["rows_dropped"] += table.num_rows - kept_table.num_rows
             tmp = path + ".tmp"
             if kept_table.num_rows:
-                pq.write_table(kept_table, tmp)
+                pq.write_table(
+                    kept_table, tmp, **parquet_write_options(kept_table.schema)
+                )
                 os.replace(tmp, path)
                 stats["rewritten"] += 1
             else:
@@ -119,10 +122,12 @@ def compact_small_files(
     incremental updates deliberately write MANY small files — correct for
     resume, hostile to scan throughput at 100 TB (footer-per-file overhead
     and tiny row groups). Compaction is the standard maintenance pass that
-    restores read efficiency without touching the commit protocol: rows
-    are preserved byte-for-byte (concatenation of the inputs in filename
-    order; no re-sort, no re-encode of values), so downstream readers see
-    the identical multiset of rows — pinned by the round-trip test.
+    restores read efficiency without touching the commit protocol. A run
+    is read, concatenated in filename order (no re-sort) and written again
+    through ``pq.write_table`` with the engine's writer options
+    (``rollup.parquet_write_options``): the pages are re-encoded, but the
+    values and the row order are kept, so downstream readers see the
+    identical rows — pinned by the round-trip test.
 
     Files at or above ``target_bytes`` (or alone in their run) are left
     untouched; a crash mid-compaction leaves either the old files or the
@@ -171,7 +176,7 @@ def compact_small_files(
             tables = [pq.read_table(os.path.join(root, f)) for f in run]
             merged = pa.concat_tables(tables, promote_options="default")
             tmp = os.path.join(root, f"{run[0]}.compact-tmp")
-            pq.write_table(merged, tmp)
+            pq.write_table(merged, tmp, **parquet_write_options(merged.schema))
             os.replace(tmp, os.path.join(root, run[0]))
             for f in run[1:]:
                 os.unlink(os.path.join(root, f))

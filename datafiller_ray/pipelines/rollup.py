@@ -765,19 +765,49 @@ def rollup_tiers_auto(
     return bucketed_map_groups(partials, fn)
 
 
+def parquet_write_options(schema: "pa.Schema") -> dict:
+    """Parquet writer options for a table of ``schema``: when it holds an
+    int64 ``bucket_ts``, that column is written ``DELTA_BINARY_PACKED`` and
+    every other column keeps dictionary pages; otherwise ``{}`` (the
+    writer's defaults), for example for blob rows.
+
+    ``bucket_ts`` is a regular 60 s / 3600 s / 86400 s grid per source, so
+    its deltas pack into a few bits, where dictionary pages store one
+    8-byte value per distinct timestamp plus the codes. Snappy, column
+    statistics (``retention._file_bounds`` prunes on them) and schema
+    metadata stay the writer's defaults. Every writer of tier and partial
+    files passes these options (``pq.write_table(t, path, **opts)`` or
+    ``ParquetFileFormat().make_write_options(**opts)``), so a refresh,
+    retention or compaction pass does not re-inflate a file."""
+    import pyarrow as pa
+
+    i = schema.get_field_index("bucket_ts")
+    if i < 0 or schema.field(i).type != pa.int64():
+        return {}
+    return {
+        "use_dictionary": [n for n in schema.names if n != "bucket_ts"],
+        "column_encoding": {"bucket_ts": "DELTA_BINARY_PACKED"},
+    }
+
+
 @tasks.remote()
 def _write_block(block, out_dir: str, basename: str) -> None:
     import pyarrow.dataset as pds
     from ray.data.block import BlockAccessor
 
+    t = BlockAccessor.for_block(block).to_arrow()
     pds.write_dataset(
-        BlockAccessor.for_block(block).to_arrow(),
+        t,
         out_dir,
         format="parquet",
         partitioning=["tier"],
         partitioning_flavor="hive",
         basename_template=basename,
         existing_data_behavior="overwrite_or_ignore",
+        # the files hold every column but the ``tier`` partition column
+        file_options=pds.ParquetFileFormat().make_write_options(
+            **parquet_write_options(t.drop_columns(["tier"]).schema)
+        ),
         use_threads=False,
     )
 
@@ -787,8 +817,9 @@ def write_tiers(tier_ds: "Dataset", out_dir: str) -> None:
     a consumer (and a resumed run) can address tiers independently.
 
     One plain Ray task per non-empty block writes it with pyarrow's hive
-    writer, as ``write_parquet(partition_cols=["tier"])`` lays it out; no
-    Ray Data executor starts for the write. File names carry a prefix
+    writer, as ``write_parquet(partition_cols=["tier"])`` lays it out, with
+    :func:`parquet_write_options` (``bucket_ts`` delta-packed); no Ray Data
+    executor starts for the write. File names carry a prefix
     unique to the call, so a second write into the same dir adds files, and
     a retried task rewrites its own. A lazy Dataset streams: each block's
     task starts as the block is produced. Returns once every write has

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from datafiller_ray.functions.hashing import splitmix64
+from datafiller_ray.functions.hashing import splitmix64, string_hash64
 
 MANIFEST_NAME = "manifest.jsonl"
 
@@ -75,28 +75,54 @@ def merge_checksums(parts: "list[str]") -> str:
     return f"{int(total):016x}"
 
 
-def rows_checksum(columns: dict[str, np.ndarray]) -> str:
+def _string_bits(col) -> np.ndarray:
+    """Per-row ``string_hash64`` of an Arrow string column, hashing each
+    distinct value once through the column's dictionary encoding; a null
+    hashes as ``"None"``, as ``str(None)`` does on the NumPy path."""
+    enc = col.dictionary_encode()
+    uniques = enc.dictionary.to_numpy(zero_copy_only=False)
+    codes = enc.indices.fill_null(len(uniques)).to_numpy()
+    return string_hash64(np.append(uniques, "None").astype("U"))[codes]
+
+
+def _column_bits(col) -> np.ndarray:
+    """The 64-bit word :func:`rows_checksum` mixes for each row of ``col``,
+    a NumPy array or an Arrow (chunked) array: the same words for the same
+    values either way. An Arrow string column is hashed without making
+    Python strings of its rows."""
+    import pyarrow as pa
+
+    if isinstance(col, (pa.Array, pa.ChunkedArray)):
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+            return _string_bits(col)
+        col = col.to_numpy(zero_copy_only=False)
+    arr = np.asarray(col)
+    if arr.dtype.kind == "f":
+        return arr.astype(np.float64).view(np.uint64)
+    if arr.dtype.kind in "iub":
+        return arr.astype(np.int64).view(np.uint64)
+    # strings: hash each distinct value once, then take
+    import pandas as pd
+
+    codes, uniques = pd.factorize(arr)
+    bits = string_hash64(np.asarray(uniques, dtype="U"))[codes]
+    na = codes < 0  # None and NaN keep their own str() hashes
+    if na.any():
+        bits[na] = string_hash64(np.asarray(arr[na], dtype="U"))
+    return bits
+
+
+def rows_checksum(columns: dict) -> str:
     """Order-independent 64-bit checksum of a row set: per-row mix of the
-    named columns, summed mod 2^64 (so block/order layout cannot change it)."""
+    named columns, summed mod 2^64 (so block/order layout cannot change it).
+    A column is a NumPy array or an Arrow (chunked) array
+    (:func:`_column_bits`)."""
     row_mix = None
     with np.errstate(over="ignore"):
         for i, (name, col) in enumerate(sorted(columns.items())):
-            arr = np.asarray(col)
-            if arr.dtype.kind == "f":
-                bits = arr.astype(np.float64).view(np.uint64)
-            elif arr.dtype.kind in "iub":
-                bits = arr.astype(np.int64).view(np.uint64)
-            else:  # strings: hash each distinct value once, then take
-                import pandas as pd
-
-                from datafiller_ray.functions.hashing import string_hash64
-
-                codes, uniques = pd.factorize(arr)
-                bits = string_hash64(np.asarray(uniques, dtype="U"))[codes]
-                na = codes < 0  # None and NaN keep their own str() hashes
-                if na.any():
-                    bits[na] = string_hash64(np.asarray(arr[na], dtype="U"))
-            mixed = splitmix64(bits ^ np.uint64(0x9E37_79B9 * (i + 1)))
+            mixed = splitmix64(_column_bits(col) ^ np.uint64(0x9E37_79B9 * (i + 1)))
             row_mix = mixed if row_mix is None else row_mix ^ mixed
         if row_mix is None:
             return f"{0:016x}"
