@@ -15,15 +15,12 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _VOCAB = 50_000  # token ids in [0, 50_000) per FIXTURES.md F1
+_VOCAB_U64 = np.uint64(_VOCAB)
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer over a uint64 array."""
-    return _splitmix64_inplace(x.astype(np.uint64, copy=True))
-
-
-def _splitmix64_inplace(x: np.ndarray) -> np.ndarray:
-    """:func:`splitmix64` overwriting the uint64 array ``x``."""
+    x = x.astype(np.uint64, copy=True)
     with np.errstate(over="ignore"):
         x += _GOLDEN
         x ^= x >> np.uint64(30)
@@ -62,6 +59,48 @@ def row_seed(source_hash: np.ndarray, epoch_minute: np.ndarray) -> np.ndarray:
     return splitmix64(mixed)
 
 
+def _mix_tokens(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Overwrite ``x``, a uint64 array of ``seed + position + _GOLDEN``,
+    with the token values ``splitmix64(seed + position) % _VOCAB`` (still
+    uint64). ``tmp`` is uint64 scratch of ``x``'s size, so the shifts and
+    the division allocate nothing.
+
+    ``x mod V`` is taken as ``x - (x // V) * V``: NumPy's 64-bit unsigned
+    ``%`` by a scalar does not vectorize (about 130 us per 64 Ki values on
+    one core), while ``floor_divide`` by the same ``np.uint64`` scalar runs
+    as a multiply-shift (about 10 us). Both are exact integer arithmetic
+    over the whole uint64 range, so the values equal ``%``'s."""
+    with np.errstate(over="ignore"):
+        # splitmix64 after its ``+ _GOLDEN`` step, which the caller folded in
+        np.right_shift(x, np.uint64(30), out=tmp)
+        x ^= tmp
+        x *= _MIX1
+        np.right_shift(x, np.uint64(27), out=tmp)
+        x ^= tmp
+        x *= _MIX2
+        np.right_shift(x, np.uint64(31), out=tmp)
+        x ^= tmp
+    np.floor_divide(x, _VOCAB_U64, out=tmp)
+    tmp *= _VOCAB_U64
+    x -= tmp
+    return x
+
+
+def _row_bases(seeds: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per row ``seed_i - offset_i + _GOLDEN`` (mod 2**64): token ``k`` of
+    the flat array, in row ``i``, is ``_mix_tokens`` of ``base_i + k``."""
+    with np.errstate(over="ignore"):
+        base = seeds.astype(np.uint64) - offsets[:-1].astype(np.uint64)
+        base += _GOLDEN
+    return base
+
+
+def _offsets(n_tok: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(len(n_tok) + 1, dtype=np.int64)
+    np.cumsum(n_tok, out=offsets[1:])
+    return offsets
+
+
 def expected_tokens_flat(
     seeds: np.ndarray, n_tok: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -72,16 +111,12 @@ def expected_tokens_flat(
     position ``j`` is ``splitmix64(seed_i + j) % 50000``, all vectorized over
     the ragged structure (no per-row loop).
     """
-    n_tok = n_tok.astype(np.int64)
-    offsets = np.zeros(len(n_tok) + 1, dtype=np.int64)
-    np.cumsum(n_tok, out=offsets[1:])
-    total = int(offsets[-1])
-    j = np.arange(total, dtype=np.uint64)
-    j -= np.repeat(offsets[:-1].astype(np.uint64), n_tok)
-    seed_rep = np.repeat(seeds.astype(np.uint64), n_tok)
+    n_tok = np.asarray(n_tok, dtype=np.int64)
+    offsets = _offsets(n_tok)
+    x = np.repeat(_row_bases(seeds, offsets), n_tok)
     with np.errstate(over="ignore"):
-        mixed = splitmix64(seed_rep + j)
-    values = (mixed % np.uint64(_VOCAB)).astype(np.int32)
+        x += np.arange(x.size, dtype=np.uint64)
+    values = _mix_tokens(x, np.empty_like(x)).astype(np.int32)
     return offsets, values
 
 
@@ -99,31 +134,36 @@ def tokens_match(
     uint64 scratch at the default, so each chunk stays in cache) and each
     chunk is compared as soon as it is built; the first mismatching chunk
     ends the check. Token ``k`` of the flat array, in row ``i``, is
-    ``splitmix64(seed_i - offset_i + k) % 50000``, so a chunk needs one
-    ``repeat`` of ``seed_i - offset_i`` over its rows plus an ``arange``.
+    ``splitmix64(seed_i - offset_i + k) % 50000``, so a chunk starting at
+    ``lo`` needs one ``repeat`` of ``seed_i - offset_i + lo`` (plus the
+    mixer's first constant) over its rows, one shared ``arange`` and the
+    mixer, which reuses one scratch buffer. The ``% 50000`` is a division
+    and a multiply-subtract (see ``_mix_tokens``): 64-bit ``%`` by a
+    scalar was half of the check's time.
     """
     n_tok = np.asarray(n_tok, dtype=np.int64)
-    offsets = np.zeros(n_tok.size + 1, dtype=np.int64)
-    np.cumsum(n_tok, out=offsets[1:])
+    offsets = _offsets(n_tok)
     total = int(offsets[-1])
     if actual.size != total:
         return False
-    with np.errstate(over="ignore"):  # seed - offset wraps mod 2**64
-        base = seeds.astype(np.uint64) - offsets[:-1].astype(np.uint64)
-    vocab = np.uint64(_VOCAB)
+    base = _row_bases(seeds, offsets)
+    ramp = np.arange(min(chunk, total), dtype=np.uint64)
+    tmp = np.empty_like(ramp)
+    got = np.empty(ramp.size, np.int32)
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
+        m = hi - lo
         # rows r0 .. r1-1 overlap [lo, hi); r0 is the non-empty row holding lo
         r0 = int(np.searchsorted(offsets, lo, side="right")) - 1
         r1 = int(np.searchsorted(offsets, hi, side="left"))
         counts = np.minimum(offsets[r0 + 1 : r1 + 1], hi) - np.maximum(
             offsets[r0:r1], lo
         )
-        x = np.repeat(base[r0:r1], counts)
         with np.errstate(over="ignore"):
-            x += np.arange(lo, hi, dtype=np.uint64)
-        _splitmix64_inplace(x)
-        x %= vocab
-        if not np.array_equal(x.astype(np.int32), actual[lo:hi]):
+            x = np.repeat(base[r0:r1] + np.uint64(lo), counts)
+            x += ramp[:m]
+        _mix_tokens(x, tmp[:m])
+        np.copyto(got[:m], x, casting="unsafe")  # values < 50000: exact
+        if not np.array_equal(got[:m], actual[lo:hi]):
             return False
     return True

@@ -65,6 +65,7 @@ from datafiller_ray.pipelines.rollup import (
     scan_file,
 )
 from datafiller_ray.state import lineage
+from datafiller_ray.stages.exchange import split_by_code
 from datafiller_ray.stages.fill import (
     fill_tiers,
     reduce_segments,
@@ -144,7 +145,7 @@ def _partials_stager(
     the rollup scan's own function (``rollup.scan_file``; a block gets the
     same partial aggregation) or its tombstones, add the ``op`` column when
     ``op`` is given, split the rows by bucket (and sub-bucket when
-    ``n_subbuckets > 1``) and write them as
+    ``n_subbuckets > 1``; ``stages.exchange.split_by_code``) and write them as
     ``out_root/bucket=B[/sub=S]/part-<i>.parquet`` with the engine's writer
     options — the layout a hive ``write_parquet`` partitioned by bucket
     (and sub) writes, without the partition columns. The base pass and
@@ -180,17 +181,17 @@ def _partials_stager(
             part = (skey % np.uint64(n_buckets)) * ns + (
                 skey // np.uint64(n_buckets)
             ) % ns
-            order = np.argsort(part, kind="stable")
-            t, part = t.take(order), part[order]
-            starts = segment_starts(part)
-            for lo, hi in zip(starts, np.append(starts[1:], t.num_rows)):
-                b, sb = divmod(int(part[lo]), n_subbuckets)
+            pieces, counts = split_by_code(
+                t, part.astype(np.int64), n_buckets * n_subbuckets
+            )
+            for code in np.flatnonzero(counts):
+                b, sb = divmod(int(code), n_subbuckets)
                 d = os.path.join(out_root, f"bucket={b}")
                 if n_subbuckets > 1:
                     d = os.path.join(d, f"sub={sb}")
                 os.makedirs(d, exist_ok=True)
                 pq.write_table(
-                    t.slice(lo, hi - lo),
+                    pieces[code],
                     os.path.join(d, f"part-{i}.parquet"),
                     **parquet_write_options(t.schema),
                 )

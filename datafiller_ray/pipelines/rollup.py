@@ -2,21 +2,23 @@
 
 Physical plan (SURVEY.md §3.4):
 
-    scan: one plain Ray task per input file (scan_file)
+    scan: one plain Ray task per input file (scan_file, then cut by skey % n0)
       -> read (columns pruned to the 4 contract columns) + validate + bucketize + partial agg
-      -> exchange on skey                                             [THE shuffle — partial rows only]
+      -> exchange on skey: reduce tasks take the scan's pieces        [THE shuffle — partial rows only]
+         (one re-split task per block only when the partial bytes lift n above n0)
       -> fill_tiers per run of whole skey groups (combine -> cascade 1m/1h/1d -> densify -> gap-fill [-> Gorilla])
       -> Dataset of tier rows (or blob rows) -> write_tiers: one plain Ray task per block
 
 The heavy token payload never crosses the shuffle: the partial-agg stage
 reduces each input block to one row per (source, minute) before the exchange.
 A scan task reads one input file and partially aggregates it, so the token
-payload never leaves the task that read it and the exchange gets one partial
-block per file (:func:`partial_aggregates`). Given a Parquet path, the scan,
-the exchange and the sink all run as plain Ray tasks (``stages/tasks.py``),
-and the scan's block refs go straight to the exchange: no Ray Data executor
-starts on the way. All per-group work is vectorized NumPy on series that are
-tiny relative to the input (one row per source-minute).
+payload never leaves the task that read it, and it cuts its partial rows by
+``skey % n0`` itself, the exchange's map side, so the exchange gets ``n0``
+pieces per file and no separate split wave (:func:`rollup_tiers`). Given a
+Parquet path, the scan, the exchange and the sink all run as plain Ray tasks
+(``stages/tasks.py``): no Ray Data executor starts on the way. All
+per-group work is vectorized NumPy on series that are tiny relative to the
+input (one row per source-minute).
 
 One exchange implements the shuffle: the engine's in-memory hash exchange
 through the object store, :func:`bucketed_map_groups`. Every step keyed on
@@ -184,7 +186,8 @@ def parquet_files(input_path, cols) -> list[str]:
 def scan_file(path: str, check_tokens: bool = True) -> "pa.Table":
     """One input file's partial rows: read its contract columns and run the
     partial aggregation, token check included. The read of the rollup scan
-    (:func:`partial_aggregates`) and of the checkpoint's update staging.
+    tasks (:func:`rollup_tiers`, :func:`partial_aggregates`) and of the
+    checkpoint's partial staging.
     Its caller runs it in a task holding one CPU, so Arrow reads without
     its thread pool."""
     import pyarrow.parquet as pq
@@ -193,16 +196,33 @@ def scan_file(path: str, check_tokens: bool = True) -> "pa.Table":
     return make_partial_agg_fn(check_tokens=check_tokens)(t)
 
 
-def _scan(input_path, check_tokens: bool):
-    """Yield ``(ref, metadata)`` of each input file's partial block, made
-    by one plain task per file running :func:`scan_file`
-    (``tasks.map_blocks``). The scan starts at the first ``next()``."""
+@tasks.remote()
+def _scan_split(scan, path: str, n: int):
+    """Scan task: ``scan(path)`` (:func:`scan_file`) cut into ``n`` Arrow
+    pieces by ``skey % n``; the last return is ``(per-piece row counts,
+    the partial block's BlockMetadata)``."""
+    from ray.data.block import BlockAccessor
+
+    t = scan(path)
+    pieces, counts = _split_skey(t, n)
+    return (*pieces, (counts, BlockAccessor.for_block(t).get_metadata()))
+
+
+def _scan(input_path, check_tokens: bool, n: int) -> list:
+    """One plain task per input file (:func:`_scan_split`) reads it, makes
+    its partial rows and cuts them into ``n`` pieces by ``skey % n``.
+    Returns ``(piece refs, per-piece row counts, BlockMetadata)`` per file,
+    in file order, once every task has settled; a task's error reaches the
+    caller then. Only the counts and metadata are collected."""
     files = parquet_files(input_path, input_columns(check_tokens))
     _log_scan(len(files), fused=True)
     # scan_file is looked up at the call, and the partial pickled by value
-    yield from tasks.map_blocks(
-        functools.partial(scan_file, check_tokens=check_tokens), files
-    )
+    scan = ray.put(functools.partial(scan_file, check_tokens=check_tokens))
+    task = _scan_split.options(num_returns=n + 1)
+    refs = [task.remote(scan, f, n) for f in files]
+    last = [r[-1] for r in refs]
+    ray.wait(last, num_returns=len(last))
+    return [(r[:-1], *info) for r, info in zip(refs, ray.get(last))]
 
 
 def partial_aggregates(
@@ -212,17 +232,16 @@ def partial_aggregates(
 
     Given a Parquet path, one plain Ray task per input file reads it and
     reduces it to partial rows (:func:`scan_file`): the token payload never
-    leaves the task that read it, the exchange gets one partial block per
-    file, and no Ray Data executor starts. The scan runs at the call and
-    the returned Dataset holds its blocks. With 1-3 input files on a 4-CPU
-    cluster, where one task per file leaves CPUs idle, this still measured
-    faster than Ray Data's split read, whose extra map tasks cost more than
-    they win back. A Dataset or in-memory input is mapped by Ray Data
+    leaves the task that read it, and no Ray Data executor starts. It is
+    :func:`rollup_tiers`' scan task cutting one piece per file, so the
+    returned Dataset holds one uncut partial block per file; the scan runs
+    at the call. With 1-3 input files on a 4-CPU cluster, where one task
+    per file leaves CPUs idle, this still measured faster than Ray Data's
+    split read, whose extra map tasks cost more than they win back. A Dataset or in-memory input is mapped by Ray Data
     instead, so a lazy Dataset still streams."""
     if isinstance(ds_or_path, (str, list)):
-        return ray.data.from_arrow_refs(
-            [ref for ref, _ in _scan(ds_or_path, check_tokens)]
-        )
+        scanned = _scan(ds_or_path, check_tokens, 1)
+        return ray.data.from_arrow_refs([pieces[0] for pieces, _, _ in scanned])
     ds = (
         ds_or_path
         if isinstance(ds_or_path, ray.data.Dataset)
@@ -253,12 +272,26 @@ def rollup_tiers(
     exchange in Ray's object store: each partial block is split by
     ``skey % n``, then one task per partition runs ``fill_tiers`` (or, for
     blobs, ``fill_tiers`` then ``encode_tier_chunks``) once per run of whole
-    ``skey`` groups, on Arrow tables. A Parquet path runs on plain Ray tasks
-    from scan to reduce: the scan's partial blocks go straight to the
-    split tasks. The exchange runs when this function is called, so the
-    returned Dataset is not lazy: its blocks are the reduce outputs, already
-    in the object store. Row order inside the Dataset follows the
-    partitions, not the sources.
+    ``skey`` groups, on Arrow tables.
+
+    A Parquet path runs on plain Ray tasks from scan to reduce, and the
+    scan does the split: one task per input file runs :func:`scan_file`
+    and returns its partial rows already cut into ``n0`` pieces by
+    ``skey % n0``, with the per-piece row counts and the block's metadata.
+    ``n0`` is ``n_buckets`` when given, else ``4 x cluster CPUs``. This
+    call then derives ``n`` from the summed partial bytes as
+    :func:`bucketed_map_groups` does. When ``n == n0`` (always with
+    ``n_buckets`` given, and whenever the partials stay under ``4 x CPUs``
+    target blocks) the reduce tasks take the scan's pieces: no split task
+    runs. When the bytes term lifts ``n`` above ``n0``, one re-split task
+    per block regroups that block's pieces by ``skey % n`` with the same
+    split. A Dataset input is partially aggregated by Ray Data and split
+    by :func:`bucketed_map_groups`.
+
+    The exchange runs when this function is called, so the returned
+    Dataset is not lazy: its blocks are the reduce outputs, already in the
+    object store. Row order inside the Dataset follows the partitions, not
+    the sources.
 
     ``n_buckets`` is the partition count; ``None`` derives it from the
     cluster's CPUs and the partial bytes (see :func:`bucketed_map_groups`).
@@ -268,10 +301,13 @@ def rollup_tiers(
     fn = make_fill_group_fn(
         cfg, tiers=tiers, retention=retention, emit=emit, batch_format="pyarrow"
     )
-    if isinstance(input_path, (str, list)):
-        return _exchange(_scan(input_path, check_tokens), fn, n_buckets)
-    partials = partial_aggregates(input_path, check_tokens=check_tokens)
-    return bucketed_map_groups(partials, fn, n_buckets=n_buckets)
+    if not isinstance(input_path, (str, list)):
+        partials = partial_aggregates(input_path, check_tokens=check_tokens)
+        return bucketed_map_groups(partials, fn, n_buckets=n_buckets)
+    _check_n_buckets(n_buckets)
+    cpus = _cluster_cpus()
+    n0 = n_buckets if n_buckets is not None else 4 * cpus
+    return _exchange(_scan(input_path, check_tokens, n0), n0, fn, n_buckets, cpus)
 
 
 rollup_tiers_bucketed = rollup_tiers
@@ -306,21 +342,28 @@ def rollup_tiers_inferred(
     return bucketed_map_groups(partials, fn)
 
 
-@tasks.remote()
-def _split_by_skey(t, n: int):
-    """Exchange map side: one partial block (Arrow or pandas) -> ``n``
-    Arrow pieces by ``skey % n``, plus the per-piece row counts as the last
-    return."""
+def _split_skey(t: "pa.Table", n: int) -> "tuple[list[pa.Table], np.ndarray]":
+    """The exchange's map-side cut: ``t``'s rows in ``n`` pieces by
+    ``skey % n``, and the per-piece row counts."""
     import numpy as np
 
+    from datafiller_ray.stages.exchange import split_by_code
+
+    part = np.asarray(t["skey"]).view(np.uint64) % np.uint64(n)
+    return split_by_code(t, part.astype(np.int64), n)
+
+
+@tasks.remote()
+def _split_by_skey(n: int, *pieces):
+    """Exchange map side: one partial block (Arrow or pandas), or the
+    pieces a scan task cut it into, -> ``n`` Arrow pieces by ``skey % n``,
+    plus the per-piece row counts as the last return."""
+    import pyarrow as pa
     from ray.data.block import BlockAccessor
 
-    t = BlockAccessor.for_block(t).to_arrow()
-    part = (np.asarray(t["skey"]).view(np.uint64) % np.uint64(n)).astype(np.int64)
-    counts = np.bincount(part, minlength=n)
-    t = t.take(np.argsort(part, kind="stable"))
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return (*(t.slice(offsets[i], counts[i]) for i in range(n)), counts)
+    t = pa.concat_tables([BlockAccessor.for_block(p).to_arrow() for p in pieces])
+    out, counts = _split_skey(t, n)
+    return (*out, counts)
 
 
 @tasks.remote(num_returns="streaming")
@@ -392,7 +435,9 @@ def bucketed_map_groups(
     stays two series.
 
     The partial blocks are produced first and their bytes summed. One task
-    per block splits it by ``skey % n`` into ``n`` object-store pieces; one
+    per block splits it by ``skey % n`` into ``n`` object-store pieces
+    (:func:`rollup_tiers` on a Parquet path has its scan tasks cut the
+    pieces instead, and re-splits only when ``n`` exceeds their cut); one
     task per non-empty partition concatenates its pieces, sorts by
     ``skey``, and calls ``fn`` once per run of whole groups
     (:func:`_reduce_partition`). A run closes when its projected output
@@ -420,33 +465,46 @@ def bucketed_map_groups(
     partition skew. The exchange runs when this function is called, not
     lazily.
     """
-    return _exchange(tasks.block_pairs(partials), fn, n_buckets)
+    _check_n_buckets(n_buckets)
+    blocks = [([ref], None, meta) for ref, meta in tasks.block_pairs(partials)]
+    return _exchange(blocks, None, fn, n_buckets, _cluster_cpus())
 
 
-def _exchange(pairs, fn, n_buckets: "int | None") -> "Dataset":
-    """:func:`bucketed_map_groups` over the partial blocks ``pairs`` yields
-    as ``(ref, metadata)``, consumed after ``n_buckets`` is checked."""
-    import math
-
-    import numpy as np
-
+def _check_n_buckets(n_buckets: "int | None") -> None:
     from datafiller_ray.config import EngineValueError
 
     if n_buckets is not None and n_buckets < 1:
         raise EngineValueError(f"n_buckets must be >= 1, got {n_buckets}")
-    blocks, partial_bytes = [], 0
-    for ref, meta in pairs:
-        if meta.num_rows != 0:
-            blocks.append(ref)
-        partial_bytes += meta.size_bytes
-    cpus = int(ray.cluster_resources().get("CPU", 1))
+
+
+def _cluster_cpus() -> int:
+    return int(ray.cluster_resources().get("CPU", 1))
+
+
+def _exchange(blocks, n0, fn, n_buckets, cpus: int) -> "Dataset":
+    """:func:`bucketed_map_groups` over the partial ``blocks``, each
+    ``(piece refs, per-piece row counts, BlockMetadata)``: a block cut by
+    ``skey % n0``, or, when ``n0`` is None, one uncut block (one piece, no
+    counts). Blocks already cut at the derived ``n`` go straight to the
+    reduce; the others are (re-)split at ``n`` first, one task a block."""
+    import math
+
+    import numpy as np
+
+    partial_bytes = sum(meta.size_bytes for _, _, meta in blocks)
+    blocks = [(p, c) for p, c, meta in blocks if meta.num_rows != 0]
     target = ray.data.DataContext.get_current().target_max_block_size
     n = n_buckets
     if n is None:
         n = max(4 * cpus, math.ceil(partial_bytes / target) if target else 1)
-    split = _split_by_skey.options(num_returns=n + 1)
-    pieces = [split.remote(b, n) for b in blocks]
-    counts = sum(ray.get([p[-1] for p in pieces]), np.zeros(n, np.int64))
+    if n != n0:
+        split = _split_by_skey.options(num_returns=n + 1)
+        refs = [
+            split.remote(n, *(p for i, p in enumerate(pieces) if c is None or c[i]))
+            for pieces, c in blocks
+        ]
+        blocks = list(zip((r[:-1] for r in refs), ray.get([r[-1] for r in refs])))
+    counts = sum((c for _, c in blocks), np.zeros(n, np.int64))
     plan = {
         "partial_bytes": partial_bytes,
         "blocks": len(blocks),
@@ -460,7 +518,7 @@ def _exchange(pairs, fn, n_buckets: "int | None") -> "Dataset":
     _log.info("bucketed exchange plan: %s", plan, extra={"plan": plan})
     fn_ref = ray.put(fn)
     outputs = [
-        _reduce_partition.remote(fn_ref, target, *(p[i] for p in pieces))
+        _reduce_partition.remote(fn_ref, target, *(p[i] for p, c in blocks if c[i]))
         for i in np.flatnonzero(counts)
     ]
     # collecting the streamed refs waits for the reduce tasks, as

@@ -53,31 +53,6 @@ def map_tasks(fn, ids) -> list:
     return ray.get(refs)
 
 
-@remote(num_returns=2)
-def _block_task(fn, item):
-    from ray.data.block import BlockAccessor
-
-    block = fn(item)
-    return block, BlockAccessor.for_block(block).get_metadata()
-
-
-def map_blocks(fn, items) -> list:
-    """Run ``fn(item)`` once per item as one plain Ray task that returns an
-    Arrow table. Returns one ``(ref, metadata)`` pair per item, in the order
-    of ``items``, as :func:`block_pairs` yields a Dataset's: the table's ref,
-    left in the object store, and its ``BlockMetadata`` (rows and bytes,
-    computed by the task). Returns once every task has settled; an
-    exception raised by ``fn`` reaches the caller then. Only the metadata
-    is collected."""
-    if not items:
-        return []
-    fn_ref = ray.put(fn)
-    refs = [_block_task.remote(fn_ref, x) for x in items]
-    metas = [m for _, m in refs]
-    ray.wait(metas, num_returns=len(metas))
-    return list(zip((b for b, _ in refs), ray.get(metas)))
-
-
 def block_pairs(ds: "Dataset"):
     """Yield a Dataset's blocks as ``(ref, metadata)`` pairs. A lazy
     Dataset streams them as its executor produces them; a materialized one

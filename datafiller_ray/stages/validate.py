@@ -58,6 +58,11 @@ def validate_tokens(batch: pa.Table) -> None:
     The content is compared in cache-sized chunks of the flattened tokens
     (:func:`~datafiller_ray.functions.hashing.tokens_match`), so no
     batch-sized expected array is built."""
+    _validate_tokens(batch, extract_epoch_minute(batch["doc_id"]))
+
+
+def _validate_tokens(batch: pa.Table, minute: "pa.ChunkedArray | pa.Array") -> None:
+    """:func:`validate_tokens` given the batch's :func:`extract_epoch_minute`."""
     n_tok = batch["n_tok"]
     lengths = pc.list_value_length(batch["tokens"])
     if n_tok.null_count or not pc.all(
@@ -69,8 +74,7 @@ def validate_tokens(batch: pa.Table) -> None:
     dict_arr = pc.dictionary_encode(batch["source"].combine_chunks())
     uniq = np.asarray(dict_arr.dictionary.to_pandas(), dtype="U")
     source_hash = string_hash64(uniq)[np.asarray(dict_arr.indices)]
-    minute = np.asarray(extract_epoch_minute(batch["doc_id"]))
-    seeds = row_seed(source_hash, minute)
+    seeds = row_seed(source_hash, np.asarray(minute))
     actual = np.asarray(pc.list_flatten(batch["tokens"]))
     if not tokens_match(seeds, np.asarray(n_tok), actual):
         raise EngineValueError("token-array invariant violated: content mismatch")
@@ -91,9 +95,9 @@ def make_partial_agg_fn(*, check_tokens: bool = True):
         missing = required - set(batch.column_names)
         if missing:
             raise EngineValueError(f"input table missing columns: {sorted(missing)}")
-        if check_tokens and "tokens" in batch.column_names:
-            validate_tokens(batch)
         minute = extract_epoch_minute(batch["doc_id"])
+        if check_tokens and "tokens" in batch.column_names:
+            _validate_tokens(batch, minute)
         bucket = pc.multiply(minute, pa.scalar(60, pa.int64()))
         slim = pa.table(
             {

@@ -437,3 +437,126 @@ def test_validate_tokens_raises_on_null_token_row():
     bad = t.set_column(1, "tokens", pa.array(tokens, pa.list_(pa.int32())))
     with pytest.raises(EngineValueError, match="content mismatch"):
         validate_tokens(bad)
+
+
+# ---- exact token arithmetic near the uint64 edges ---------------------------
+
+_M64 = (1 << 64) - 1
+_GOLDEN, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_V = 50_000
+
+
+def _py_splitmix64(x: int) -> int:
+    """splitmix64 on Python ints: the arithmetic the NumPy kernels must
+    match, with no float anywhere."""
+    x = (x + _GOLDEN) & _M64
+    x = ((x ^ (x >> 30)) * _MIX1) & _M64
+    x = ((x ^ (x >> 27)) * _MIX2) & _M64
+    return x ^ (x >> 31)
+
+
+def _py_seed_for(z: int) -> int:
+    """The seed whose ``_py_splitmix64`` is ``z``: each step is invertible
+    (an xor-shift by iterating it, an odd multiply by its inverse)."""
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    x = (unshift(z, 31) * pow(_MIX2, -1, 1 << 64)) & _M64
+    x = (unshift(x, 27) * pow(_MIX1, -1, 1 << 64)) & _M64
+    return (unshift(x, 30) - _GOLDEN) & _M64
+
+
+def _edge_mixed_values() -> list:
+    """Mixed values at ``k*V - 1``, ``k*V`` and ``k*V + 1`` for ``k`` from 1
+    to the last multiple below 2**64, around 2**53 (where a float path
+    starts to round) and at the top of the range."""
+    ks = [1, 2, (1 << 53) // _V, (1 << 53) // _V + 1, (1 << 63) // _V, _M64 // _V]
+    vals = [k * _V + d for k in ks for d in (-1, 0, 1)]
+    vals += [(1 << 53) - 1, 1 << 53, (1 << 53) + 1, _M64 - 1, _M64, 0]
+    return sorted(v for v in vals if 0 <= v <= _M64)
+
+
+def test_token_values_are_exact_at_uint64_edges():
+    from datafiller_ray.functions.hashing import expected_tokens_flat, tokens_match
+
+    mixed = _edge_mixed_values()
+    seeds = [_py_seed_for(z) for z in mixed]
+    assert [_py_splitmix64(s) for s in seeds] == mixed
+    # seeds whose ``seed + position`` wraps past 2**64 inside a row
+    seeds += [_M64 - 2, _M64, (1 << 53) - 3]
+    n_tok = np.array([1] * len(mixed) + [6, 4, 7], np.int32)
+    want = [
+        _py_splitmix64((s + j) & _M64) % _V for s, n in zip(seeds, n_tok) for j in range(n)
+    ]
+    seeds = np.array(seeds, np.uint64)
+    offsets, values = expected_tokens_flat(seeds, n_tok)
+    assert values.dtype == np.int32 and values.tolist() == want
+    assert values[: len(mixed)].tolist() == [z % _V for z in mixed]
+    for chunk in (1, 5, 1 << 16):
+        assert tokens_match(seeds, n_tok, values, chunk=chunk)
+
+
+@pytest.mark.parametrize("pos", ["first", "middle", "last"])
+@pytest.mark.parametrize("wrong", ["plus_vocab", "minus_one", "minus_2_31"])
+def test_tokens_match_rejects_tokens_congruent_or_negative(pos, wrong):
+    """A token off by exactly the vocabulary, or a negative int32 (one that
+    agrees with the expected value mod 2**31 included), is a mismatch."""
+    from datafiller_ray.functions.hashing import tokens_match
+
+    rng = np.random.default_rng(11)
+    seeds, n_tok, want = _token_case(rng, [30, 0, 45, 25])
+    i = {"first": 0, "middle": want.size // 2, "last": want.size - 1}[pos]
+    bad = want.copy()
+    bad[i] = {
+        "plus_vocab": int(want[i]) + _V,
+        "minus_one": -1,
+        "minus_2_31": int(want[i]) - (1 << 31),
+    }[wrong]
+    assert bad.dtype == np.int32 and bad[i] != want[i]
+    for chunk in (8, 1 << 16):
+        assert tokens_match(seeds, n_tok, want, chunk=chunk)
+        assert not tokens_match(seeds, n_tok, bad, chunk=chunk)
+
+
+def _flip_token(t, k):
+    """``t`` with flat token ``k`` of its (possibly chunked or sliced)
+    ``tokens`` column incremented."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    flat = pc.list_flatten(t["tokens"]).to_numpy().copy()
+    flat[k] += 1
+    lengths = pc.list_value_length(t["tokens"]).to_numpy(zero_copy_only=False)
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
+    tokens = pa.ListArray.from_arrays(pa.array(offsets), pa.array(flat))
+    return t.set_column(t.column_names.index("tokens"), "tokens", tokens)
+
+
+def test_validate_tokens_on_chunked_and_offset_lists():
+    import pyarrow as pa
+
+    from datafiller_ray.config import EngineValueError
+    from datafiller_ray.stages.validate import validate_tokens
+
+    t = _token_batch([5, 0, 70_000, 3, 12, 0, 9])
+    # a multi-chunk ChunkedArray: every column in three chunks
+    chunked = pa.concat_tables([t.slice(0, 2), t.slice(2, 3), t.slice(5)])
+    assert chunked["tokens"].num_chunks == 3
+    validate_tokens(chunked)
+    total = 5 + 70_000 + 3 + 12 + 9
+    for k in (0, 5 + 70_000, total - 1):  # first, second chunk's end, last
+        with pytest.raises(EngineValueError, match="content mismatch"):
+            validate_tokens(_flip_token(chunked, k))
+    # a sliced ListArray: its offsets start past the values' first element
+    sliced = t.slice(2).combine_chunks()
+    tokens = sliced["tokens"].chunk(0)
+    assert tokens.offset > 0 and tokens.offsets[0].as_py() == 5
+    validate_tokens(sliced)
+    validate_tokens(t.slice(3, 3))
+    for k in (0, 70_000, 70_000 + 3 + 12 + 9 - 1):
+        with pytest.raises(EngineValueError, match="content mismatch"):
+            validate_tokens(_flip_token(sliced, k))

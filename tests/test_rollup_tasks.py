@@ -120,3 +120,89 @@ def test_rollup_and_sink_start_no_read_or_write_operator(
     write_tiers(rollup_tiers(input_dir, fill=CFG), str(tmp_path / "out"))
     assert os.listdir(tmp_path / "out")
     assert [op for op in ops if "ReadParquet" in op or "Write" in op] == []
+
+
+class _SplitRecorder:
+    """Stands in for ``rollup._split_by_skey``: records the ``n`` of every
+    split task launched, then launches it."""
+
+    def __init__(self, task):
+        self.task, self.launched = task, []
+
+    def options(self, **kw):
+        from types import SimpleNamespace
+
+        task = self.task.options(**kw)
+
+        def remote(n, *pieces):
+            self.launched.append(n)
+            return task.remote(n, *pieces)
+
+        return SimpleNamespace(remote=remote)
+
+
+def _plans(caplog) -> list:
+    return [r.plan for r in caplog.records if hasattr(r, "plan")]
+
+
+def test_scan_tasks_split_their_own_partials(
+    ray_session, input_dir, caplog, monkeypatch
+):
+    """With ``n`` equal to the scan's cut (derived from the CPUs, or given),
+    the reduce tasks take the scan tasks' pieces: no split task runs."""
+    from datafiller_ray.pipelines.rollup import bucketed_map_groups, partial_aggregates
+    from datafiller_ray.stages.fill import make_fill_group_fn
+
+    want = _norm(rollup_tiers(input_dir, fill=CFG, n_buckets=1).to_pandas())
+    rec = _SplitRecorder(rollup._split_by_skey)
+    monkeypatch.setattr(rollup, "_split_by_skey", rec)
+    with caplog.at_level("INFO", logger="datafiller_ray.pipelines.rollup"):
+        for n in (None, 1, 3, 64):
+            got = rollup_tiers(input_dir, fill=CFG, n_buckets=n)
+            pd.testing.assert_frame_equal(_norm(got.to_pandas()), want)
+        partials = partial_aggregates(input_dir)
+    assert rec.launched == []
+    assert [p["n"] for p in _plans(caplog)] == [16, 1, 3, 64]  # 4 CPUs
+    assert partials.num_blocks() == 3  # one uncut block per file
+    # a Dataset's blocks are still split by one task each
+    fn = make_fill_group_fn(CFG, batch_format="pyarrow")
+    got = bucketed_map_groups(partials, fn, n_buckets=3)
+    assert rec.launched == [3, 3, 3]
+    pd.testing.assert_frame_equal(_norm(got.to_pandas()), want)
+
+
+def test_resplit_above_the_scan_cut(ray_session, input_dir, caplog, monkeypatch):
+    """Partials above ``4 x CPUs`` target blocks lift ``n`` past the scan's
+    cut: one task per block regroups its pieces, and the rows and the plan
+    equal a split of the whole partial blocks at that ``n``."""
+    from ray.data import DataContext
+
+    from datafiller_ray.pipelines.rollup import bucketed_map_groups, partial_aggregates
+    from datafiller_ray.stages.fill import make_fill_group_fn
+
+    want = _norm(rollup_tiers(input_dir, fill=CFG, n_buckets=1).to_pandas())
+    rec = _SplitRecorder(rollup._split_by_skey)
+    monkeypatch.setattr(rollup, "_split_by_skey", rec)
+    ctx = DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = 8 * 1024
+    try:
+        with caplog.at_level("INFO", logger="datafiller_ray.pipelines.rollup"):
+            got = rollup_tiers(input_dir, fill=CFG)
+            fused_launches = list(rec.launched)
+            fn = make_fill_group_fn(CFG, batch_format="pyarrow")
+            whole = bucketed_map_groups(partial_aggregates(input_dir), fn)
+    finally:
+        ctx.target_max_block_size = saved
+    fused, split = _plans(caplog)
+    assert fused["n"] > 16 and fused["derived"]
+    assert fused_launches == [fused["n"]] * 3  # one re-split task per file
+    pd.testing.assert_frame_equal(_norm(got.to_pandas()), want)
+    pd.testing.assert_frame_equal(_norm(whole.to_pandas()), want)
+    # the bytes are the scan tables' own, as a split of whole blocks read
+    # them before the scan cut its pieces; the Dataset's blocks were
+    # serialized, which may trim their buffers
+    files = rollup.parquet_files(input_dir, rollup.INPUT_COLUMNS)
+    assert fused.pop("partial_bytes") == sum(rollup.scan_file(f).nbytes for f in files)
+    split.pop("partial_bytes")
+    assert fused == split
